@@ -2,16 +2,17 @@
 
 A :class:`FiniteGroup` owns an element table built by breadth-first closure of
 its generator list, so element indices are deterministic for a fixed generator
-order.  All group-theoretic primitives (orders, conjugacy classes,
-centralizers, normalizers, subgroup closures) work on element indices; the
-underlying permutation or matrix arithmetic is confined to a small key-level
-ops object.
+order.  Subgroups, Sylow systems and every result handed out name elements by
+index.  The hot loops (the p-element scan, powers, normalizer membership and
+conjugation of whole subgroups) run on element keys through a small key-level
+ops object and convert to indices only where a result leaves the loop; a
+key -> index -> key round trip per product would cost more than the product.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
 from .numtheory import factorization, p_part
@@ -45,8 +46,10 @@ class Subgroup:
 
     def __init__(self, group: "FiniteGroup", indices: Iterable[int], verified: bool = False):
         self.group = group
-        self.indices = tuple(sorted(set(indices)))
-        self._set = frozenset(self.indices)
+        # frozenset() of a frozenset is the same object, so a caller that
+        # already holds the member set hands it over without a copy
+        self._set = frozenset(indices)
+        self.indices = tuple(sorted(self._set))
         self._generators: Optional[tuple[int, ...]] = None
         if group.identity not in self._set:
             raise DomainError("subgroup must contain the identity")
@@ -141,6 +144,7 @@ class FiniteGroup:
         self.identity = 0
         self.generators = tuple(index[k] for k in gen_keys)
         self._inv: Optional[list[int]] = None
+        self._p_elements: dict[int, list[int]] = {}
         self._elements: dict[int, object] = {}
         self._centralizers: dict[int, Subgroup] = {}
         self._sylow_cache: dict[int, object] = {}
@@ -165,6 +169,16 @@ class FiniteGroup:
     def key(self, index: int) -> bytes:
         return self._keys[index]
 
+    @property
+    def keys(self) -> list[bytes]:
+        """Element keys by index; callers must not mutate the list."""
+        return self._keys
+
+    @property
+    def key_index(self) -> dict[bytes, int]:
+        """Element index by key; callers must not mutate the dict."""
+        return self._index
+
     def render(self, index: int) -> str:
         return self.ops.render(self._keys[index])
 
@@ -177,26 +191,36 @@ class FiniteGroup:
         return self._index[self.ops.mul(self._keys[i], self._keys[j])]
 
     def inv(self, i: int) -> int:
+        return self._inverse_table()[i]
+
+    def _inverse_table(self) -> list[int]:
+        """Index of each element's inverse, by index (built once per group)."""
         table = self._inv
         if table is None:
             index = self._index
             inv = self.ops.inv
             table = [index[inv(k)] for k in self._keys]
             self._inv = table
-        return table[i]
+        return table
 
     def power(self, i: int, e: int) -> int:
         if e < 0:
             i = self.inv(i)
             e = -e
-        result = self.identity
-        base = i
+        return self._index[self.key_power(self._keys[i], e)]
+
+    def key_power(self, key: bytes, e: int) -> bytes:
+        """key^e for e >= 0, by squaring and multiplying on keys."""
+        mul = self.ops.mul
+        result = None
         while e:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                # powers of one element commute, so the order of factors is free
+                result = key if result is None else mul(result, key)
             e >>= 1
-        return result
+            if e:
+                key = mul(key, key)
+        return self._keys[self.identity] if result is None else result
 
     def conjugate(self, x: int, g: int) -> int:
         """g^-1 * x * g."""
@@ -219,17 +243,29 @@ class FiniteGroup:
                 order //= p
         return order
 
+    def _key_is_p_element(self, key: bytes, p: int) -> bool:
+        """Generic test for ops without one: key^(p-part of |G|) = 1."""
+        return self.key_power(key, p_part(self.order, p)) == self._keys[self.identity]
+
+    def _p_element_test(self):
+        return getattr(self.ops, "key_is_p_element", None) or self._key_is_p_element
+
     def is_p_element(self, i: int, p: int) -> bool:
-        fast = getattr(self.ops, "key_is_p_element", None)
-        if fast is not None:
-            return fast(self._keys[i], p)
-        return self.power(i, p_part(self.order, p)) == self.identity
+        return self._p_element_test()(self._keys[i], p)
 
     def p_elements(self, p: int) -> list[int]:
-        """Indices of all elements of p-power order, identity included, ascending."""
-        if not _is_prime(p):
-            raise DomainError(f"p must be prime, got {p}")
-        return [i for i in range(self.order) if self.is_p_element(i, p)]
+        """Indices of all elements of p-power order, identity included, ascending.
+
+        Scanned once per p and cached; callers must not mutate the list.
+        """
+        cached = self._p_elements.get(p)
+        if cached is None:
+            if not _is_prime(p):
+                raise DomainError(f"p must be prime, got {p}")
+            test = self._p_element_test()
+            cached = [i for i, key in enumerate(self._keys) if test(key, p)]
+            self._p_elements[p] = cached
+        return cached
 
     def p_prime_elements(self, p: int) -> list[int]:
         """Indices of all elements of order coprime to p, ascending."""
@@ -277,16 +313,27 @@ class FiniteGroup:
         if subgroup.group is not self:
             raise DomainError("subgroup belongs to a different group")
         subgroup.verify()
-        gens = subgroup.generating_indices()
-        members = subgroup.member_set()
-        mul = self.mul
-        inv = self.inv
-        out = []
-        for g in range(self.order):
-            ginv = inv(g)
-            if all(mul(mul(ginv, h), g) in members for h in gens):
-                out.append(g)
-        return Subgroup(self, out)
+        return Subgroup(self, self.normalizing_elements(subgroup, range(self.order)))
+
+    def normalizing_elements(self, subgroup: Subgroup, candidates: Iterable[int]) -> Iterator[int]:
+        """The candidates g with g^-1 H g = H, lazily and in the given order.
+
+        H's generators are conjugated on keys and looked up in a set of H's
+        member keys, so no product goes through the index table.
+        """
+        keys = self._keys
+        inverses = self._inverse_table()
+        mul = self.ops.mul
+        members = {keys[h] for h in subgroup.indices}
+        gens = [keys[h] for h in subgroup.generating_indices()]
+        for g in candidates:
+            gk = keys[g]
+            ginv = keys[inverses[g]]
+            for h in gens:
+                if mul(mul(ginv, h), gk) not in members:
+                    break
+            else:
+                yield g
 
     def subgroup_closure(self, seed: Iterable[int]) -> Subgroup:
         """Smallest subgroup containing the seed indices."""

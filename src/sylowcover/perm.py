@@ -35,10 +35,9 @@ def compose_keys(a: bytes, b: bytes, degree: int) -> bytes:
 
 
 def invert_key(a: bytes) -> bytes:
-    out = bytearray(len(a))
-    for i, img in enumerate(a):
-        out[img] = i
-    return bytes(out)
+    """Key of the inverse: the table sending a[i] to i, applied to 0..n-1."""
+    points = _RANGE256[: len(a)]
+    return points.translate(bytes.maketrans(a, points))
 
 
 def cycle_lengths_of_key(a: bytes) -> list[int]:
@@ -174,6 +173,9 @@ class PermutationOps:
     def __init__(self, degree: int):
         self.degree = degree
         self._pad = _pad(degree)
+        self._identity = _RANGE256[:degree]
+        # p -> largest power of p that is <= degree (1 when p > degree)
+        self._cycle_bound: dict[int, int] = {}
 
     @classmethod
     def for_degree(cls, degree: int) -> "PermutationOps":
@@ -204,12 +206,28 @@ class PermutationOps:
         return reduce(math.lcm, cycle_lengths_of_key(a), 1)
 
     def key_is_p_element(self, a: bytes, p: int) -> bool:
-        for length in cycle_lengths_of_key(a):
-            while length % p == 0:
-                length //= p
-            if length != 1:
-                return False
-        return True
+        """Whether a^(p^k) = 1 for the largest power p^k <= degree.
+
+        No cycle is longer than the degree, so every cycle length is a power
+        of p exactly when it divides p^k.  Squaring and multiplying by
+        ``bytes.translate`` keeps the test in C.
+        """
+        e = self._cycle_bound.get(p)
+        if e is None:
+            e = 1
+            while e * p <= self.degree:
+                e *= p
+            self._cycle_bound[p] = e
+        pad = self._pad
+        power = None
+        while True:
+            if e & 1:
+                # powers of one element commute, so the order of factors is free
+                power = a if power is None else a.translate(power + pad)
+            e >>= 1
+            if not e:
+                return power == self._identity
+            a = a.translate(a + pad)
 
     def render(self, key: bytes) -> str:
         return Permutation._from_key(key).cycle_string()

@@ -88,19 +88,10 @@ def find_sylow(group: FiniteGroup, p: int) -> Subgroup:
     p_els = group.p_elements(p)
     seed = next(x for x in p_els if x != group.identity)
     current = group.subgroup_closure([seed])
-    mul = group.mul
-    inv = group.inv
     while current.order < target:
         members = current.member_set()
-        gens = current.generating_indices()
-        extension = None
-        for x in p_els:
-            if x in members:
-                continue
-            xinv = inv(x)
-            if all(mul(mul(xinv, h), x) in members for h in gens):
-                extension = x
-                break
+        outside = (x for x in p_els if x not in members)
+        extension = next(group.normalizing_elements(current, outside), None)
         if extension is None:
             raise RuntimeError("no normalizing p-element found; group table is corrupt")
         current = group.subgroup_closure(list(current.indices) + [extension])
@@ -119,18 +110,21 @@ def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
     if cached is not None:
         return cached
     base = find_sylow(group, p)
-    mul = group.mul
-    inv = group.inv
-    conj = [(inv(g), g) for g in group.generators]
+    # Conjugate on keys and look each image up once; the member frozenset
+    # doubles as the orbit's dedup key and as the Subgroup's member set.
+    keys = group.keys
+    index = group.key_index
+    mul = group.ops.mul
+    conj = [(keys[group.inv(g)], keys[g]) for g in group.generators]
     seen = {base.member_set()}
-    orbit: list[tuple[int, ...]] = [base.indices]
-    for indices in orbit:
+    sylows = [base]
+    for sub in sylows:
+        member_keys = [keys[x] for x in sub.indices]
         for ginv, g in conj:
-            image = frozenset(mul(mul(ginv, x), g) for x in indices)
+            image = frozenset(index[mul(mul(ginv, k), g)] for k in member_keys)
             if image not in seen:
                 seen.add(image)
-                orbit.append(tuple(sorted(image)))
-    sylows = [base] + [Subgroup(group, indices) for indices in orbit[1:]]
+                sylows.append(Subgroup(group, image))
     nu = len(sylows)
     if nu % p != 1:
         raise RuntimeError(f"Sylow count {nu} violates nu = 1 (mod {p})")

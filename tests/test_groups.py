@@ -2,8 +2,17 @@ import random
 
 import pytest
 
-from sylowcover import ClosureBudgetExceeded, DomainError, Permutation, enumerate_group
+from sylowcover import (
+    ClosureBudgetExceeded,
+    DomainError,
+    Permutation,
+    alternating_group,
+    enumerate_group,
+    find_sylow,
+    load_fixture,
+)
 
+from conftest import FIXTURE_DIR
 from oracles import closure as oracle_closure, is_p_power_order, conjugacy_class as oracle_class
 
 S4_GENS = [Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 2, 3, 4)])]
@@ -104,6 +113,27 @@ def test_centralizer_contains_cyclic_subgroup(s4):
 
 def test_normalizer_of_whole_group(s4):
     assert s4.normalizer(s4.full_subgroup()).order == s4.order
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "frobenius21", "g108", "sl23_matrix", "sl28"])
+def test_normalizer_matches_definition(name, s4):
+    # the definition {g : g^-1 H g = H}, through the index table's mul
+    if name == "S4":
+        group = s4
+    elif name == "A5":
+        group = alternating_group(5)
+    else:
+        group = load_fixture(FIXTURE_DIR / f"{name}.json")
+    for p, _ in group.order_factorization():
+        sylow = find_sylow(group, p)
+        cyclic = group.subgroup_closure([group.p_elements(p)[1]])
+        for sub in (sylow, cyclic):
+            members = sub.member_set()
+            expected = [
+                g for g in range(group.order)
+                if {group.mul(group.mul(group.inv(g), x), g) for x in sub.indices} == members
+            ]
+            assert group.normalizer(sub).indices == tuple(expected), (name, p, sub.order)
 
 
 def test_subgroup_closure_trivial(s4):

@@ -1,9 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sylowcover import DomainError, Permutation
+from sylowcover import DomainError, Permutation, build_group, symmetric_group
+from sylowcover.numtheory import is_prime
+from sylowcover.perm import invert_key
 
-from oracles import compose as oracle_compose, inverse as oracle_inverse, order as oracle_order
+from oracles import (
+    compose as oracle_compose,
+    inverse as oracle_inverse,
+    is_p_power_order,
+    order as oracle_order,
+)
 
 permutations8 = st.permutations(range(8))
 
@@ -71,3 +78,20 @@ def test_cycle_type_is_conjugation_invariant(x, g):
     px, pg = Permutation(x), Permutation(g)
     conjugate = pg.inverse() * px * pg
     assert conjugate.cycle_type() == px.cycle_type()
+
+
+@pytest.mark.parametrize("build", [lambda: symmetric_group(7), lambda: build_group("PSL", 2, 25)],
+                         ids=["S7", "PSL(2,25)"])
+def test_key_is_p_element_matches_cycle_definition(build):
+    # every p up to degree + 2 covers p > degree, p^k = degree (S_7 at p = 7)
+    # and p^k just below the degree (PSL(2,25) on 26 points at p = 5)
+    group = build()
+    ops = group.ops
+    for p in filter(is_prime, range(2, ops.degree + 3)):
+        for key in group.keys:
+            assert ops.key_is_p_element(key, p) == is_p_power_order(tuple(key), p), (key, p)
+
+
+@given(st.integers(1, 255).flatmap(lambda n: st.permutations(range(n))))
+def test_invert_key_matches_loop_definition(a):
+    assert invert_key(bytes(a)) == bytes(oracle_inverse(tuple(a)))

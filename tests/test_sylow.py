@@ -3,13 +3,21 @@ import pytest
 from sylowcover import (
     DomainError,
     Permutation,
+    alternating_group,
     decide_redundant_bruteforce,
     enumerate_group,
     enumerate_sylows,
     find_sylow,
     minimal_cover,
 )
+from sylowcover.groups import FiniteGroup
+from sylowcover.perm import PermutationOps
 from sylowcover.sylow import EXACT_COVER_NU_BOUND
+
+# FiniteGroup.mul calls made by brute decides of A_7 at p = 2, 3, 5, 7: 357
+# with the hot loops on element keys (39845 when every product went through
+# the index table)
+A7_BRUTE_INDEX_MULS = 357
 
 
 def test_find_sylow_s4(s4):
@@ -140,3 +148,27 @@ def test_s5_and_a5_have_no_redundant_sylow_subgroup():
     for p in (2, 3, 5):
         assert decide_redundant_bruteforce(s5, p).verdict == "not-redundant"
         assert decide_redundant_bruteforce(a5, p).verdict == "not-redundant"
+
+
+def test_brute_decide_scans_once_and_stays_on_keys(monkeypatch):
+    calls = {"scan": 0, "mul": 0}
+    scan, mul = PermutationOps.key_is_p_element, FiniteGroup.mul
+
+    def counted_scan(self, key, p):
+        calls["scan"] += 1
+        return scan(self, key, p)
+
+    def counted_mul(self, i, j):
+        calls["mul"] += 1
+        return mul(self, i, j)
+
+    monkeypatch.setattr(PermutationOps, "key_is_p_element", counted_scan)
+    monkeypatch.setattr(FiniteGroup, "mul", counted_mul)
+    group = alternating_group(7)
+    for p in (2, 3, 5, 7):
+        calls["scan"] = 0
+        decide_redundant_bruteforce(group, p)
+        # one p-element scan per (group, p), shared by find_sylow and the
+        # union cross-check
+        assert calls["scan"] == group.order, p
+    assert calls["mul"] <= 2 * A7_BRUTE_INDEX_MULS
