@@ -66,7 +66,6 @@ from .sylow import (
     enumerate_sylows,
     find_sylow,
     minimal_cover,
-    unique_witnesses,
 )
 
 __version__ = "1.0.0"
@@ -127,6 +126,5 @@ __all__ = [
     "ti_test",
     "type_set",
     "unique_sylow_witness",
-    "unique_witnesses",
     "wreath_cpcp",
 ]

@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 verification disagreement, 2 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -23,7 +24,7 @@ from typing import Optional
 
 from .criteria import run_structural_criteria
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed, SylowCoverError
-from .fixtures import FAMILY_NAMES, build_family, load_fixture
+from .fixtures import FAMILIES, FAMILY_NAMES, build_family, family_params, load_fixture
 from .groups import FiniteGroup
 from .linear import theorem_51_decide, theorem_D_decide
 from .report import DecisionReport
@@ -36,48 +37,18 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def _family_descriptor(name: str, params: dict) -> str:
-    if name == "Sn":
-        return f"S_{params['n']}"
-    if name == "An":
-        return f"A_{params['n']}"
-    if name == "SL2":
-        return f"SL(2,{params['q']})"
-    if name == "PSL2":
-        return f"PSL(2,{params['q']})"
-    if name == "GL":
-        return f"GL({params['n']},{params['q']})"
-    raise DomainError(f"unknown family {name!r}")
-
-
-def _family_order(name: str, params: dict) -> int:
-    from math import factorial
-
-    from .linear import gl_order, psl_order, sl_order
-
-    if name == "Sn":
-        return factorial(int(params["n"]))
-    if name == "An":
-        return factorial(int(params["n"])) // 2
-    if name == "SL2":
-        return sl_order(2, int(params["q"]))
-    if name == "PSL2":
-        return psl_order(2, int(params["q"]))
-    if name == "GL":
-        return gl_order(int(params["n"]), int(params["q"]))
-    raise DomainError(f"unknown family {name!r}")
-
-
 def family_fast_decision(name: str, params: dict, p: int) -> Optional[DecisionReport]:
-    """Closed-form decision for a family input, or None when none applies."""
+    """Closed-form decision for a family input, or None when none applies.
+
+    ``params`` must already be checked by ``family_params``.
+    """
     start = time.perf_counter()
-    descriptor = _family_descriptor(name, params)
-    order = _family_order(name, params)
+    family = FAMILIES[name]
 
     def report(verdict: str, method: str, witness: Optional[str]) -> DecisionReport:
         return DecisionReport(
-            group=descriptor,
-            order=order,
+            group=family.describe(params),
+            order=family.order(**params),
             p=p,
             verdict=verdict,
             method=method,
@@ -88,13 +59,13 @@ def family_fast_decision(name: str, params: dict, p: int) -> Optional[DecisionRe
         )
 
     if name == "Sn":
-        n = int(params["n"])
+        n = params["n"]
         if n < 2:
             return None
         witness = unique_sylow_witness(n, p, "Sn")
         return report("not-redundant", "theorem-C-witness", witness.cycle_string())
     if name == "An":
-        n = int(params["n"])
+        n = params["n"]
         try:
             redundant = theorem_B_decide(n, p, "An")
         except DomainError:
@@ -104,11 +75,11 @@ def family_fast_decision(name: str, params: dict, p: int) -> Optional[DecisionRe
         witness = unique_sylow_witness(n, p, "An")
         return report("not-redundant", "theorem-B", witness.cycle_string() if witness else None)
     if name in ("SL2", "PSL2"):
-        verdict = theorem_D_decide(name, int(params["q"]), p)
+        verdict = theorem_D_decide(name, params["q"], p)
         return report("redundant" if verdict.redundant else "not-redundant", "theorem-D", None)
     if name == "GL":
         try:
-            verdict = theorem_51_decide(int(params["n"]), int(params["q"]), p)
+            verdict = theorem_51_decide(params["n"], params["q"], p)
         except HypothesisFailed:
             return None
         return report("redundant" if verdict.redundant else "not-redundant", "theorem-5.1", None)
@@ -116,31 +87,14 @@ def family_fast_decision(name: str, params: dict, p: int) -> Optional[DecisionRe
 
 
 def _resolve_group_args(args) -> tuple[Optional[str], dict]:
-    """Returns (family_name, params) for family input, or (None, {}) for fixtures."""
+    """Returns (family_name, checked params) for family input, or (None, {}) for fixtures."""
     if args.fixture and args.family:
         raise DomainError("give either --family or --fixture, not both")
     if args.fixture:
         return None, {}
     if not args.family:
         raise DomainError("one of --family or --fixture is required")
-    name = args.family
-    if name not in FAMILY_NAMES:
-        raise DomainError(f"unknown family {name!r}; choose one of {FAMILY_NAMES}")
-    params: dict = {}
-    if name in ("Sn", "An"):
-        if args.n is None:
-            raise DomainError(f"--family {name} requires --n")
-        params["n"] = args.n
-    elif name in ("SL2", "PSL2"):
-        if args.q is None:
-            raise DomainError(f"--family {name} requires --q")
-        params["q"] = args.q
-    else:  # GL
-        if args.n is None or args.q is None:
-            raise DomainError("--family GL requires --n and --q")
-        params["n"] = args.n
-        params["q"] = args.q
-    return name, params
+    return args.family, family_params(args.family, vars(args))
 
 
 def _build_group(args, family: Optional[str], params: dict) -> FiniteGroup:
@@ -161,29 +115,28 @@ def cmd_decide(args) -> tuple[int, str]:
             )
         start = time.perf_counter()
         group = _build_group(args, family, params)
-        descriptor = _family_descriptor(family, params) if family else group.describe()
+        verdict, outcomes = None, []
         if args.method == "auto":
             verdict, outcomes = run_structural_criteria(group, args.p)
-            if verdict is not None:
-                decisive = outcomes[-1]
-                system = group._sylow_cache.get(args.p)
-                report = DecisionReport(
-                    group=descriptor,
-                    order=group.order,
-                    p=args.p,
-                    verdict=verdict,
-                    method=f"criterion:{decisive.name}",
-                    witness=decisive.evidence.get("witness") if verdict == "not-redundant" else None,
-                    nu_p=system.nu if system is not None else None,
-                    criteria=outcomes,
-                    elapsed_ms=(time.perf_counter() - start) * 1000.0,
-                )
-            else:
-                report = decide_redundant_bruteforce(group, args.p, descriptor=descriptor)
-                report.criteria = outcomes
-                report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+        if verdict is not None:
+            decisive = outcomes[-1]
+            system = group._sylow_cache.get(args.p)
+            report = DecisionReport(
+                group=group.describe(),
+                order=group.order,
+                p=args.p,
+                verdict=verdict,
+                method=f"criterion:{decisive.name}",
+                witness=decisive.evidence.get("witness") if verdict == "not-redundant" else None,
+                nu_p=system.nu if system is not None else None,
+                criteria=outcomes,
+                elapsed_ms=0.0,
+            )
         else:
-            report = decide_redundant_bruteforce(group, args.p, descriptor=descriptor)
+            report = decide_redundant_bruteforce(group, args.p)
+            report.criteria = outcomes
+        # every path that builds a group is timed from before the build
+        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     if args.format == "json":
         return EXIT_OK, report.to_json()
     return EXIT_OK, report.to_text()
@@ -193,7 +146,7 @@ def cmd_cover(args) -> tuple[int, str]:
     family, params = _resolve_group_args(args)
     start = time.perf_counter()
     group = _build_group(args, family, params)
-    descriptor = _family_descriptor(family, params) if family else group.describe()
+    descriptor = group.describe()
     system = enumerate_sylows(group, args.p)
     result = minimal_cover(system, mode=args.mode, budget=args.budget)
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -220,23 +173,16 @@ def cmd_cover(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
-def _verify_case_symmetric(family: str, n: int, p: int, budget: Optional[int]) -> dict:
-    row: dict = {"family": family, "n": n, "p": p}
-    fast: Optional[str] = None
-    if family == "Sn" and n >= 2:
-        fast = "not-redundant"
-    elif family == "An":
-        try:
-            fast = "redundant" if theorem_B_decide(n, p, "An") else "not-redundant"
-        except DomainError:
-            fast = None
-    row["fast"] = fast
-    group = build_family(family, {"n": n}, cap=budget)
+def _verify_case(name: str, params: dict, p: int, budget: Optional[int]) -> dict:
+    row: dict = {"family": name, **params, "p": p}
+    fast = family_fast_decision(name, params, p)
+    row["fast"] = fast.verdict if fast is not None else None
+    group = build_family(name, params, cap=budget)
     brute = decide_redundant_bruteforce(group, p)
     row["brute"] = brute.verdict
     row["nu_p"] = brute.nu_p
-    row["agree"] = fast is None or fast == brute.verdict
-    if family == "Sn" and p == 2:
+    row["agree"] = row["fast"] is None or row["fast"] == brute.verdict
+    if name == "Sn" and p == 2:
         from .symmetric import theorem_C_decide
 
         system = enumerate_sylows(group, p)
@@ -249,49 +195,33 @@ def _verify_case_symmetric(family: str, n: int, p: int, budget: Optional[int]) -
     return row
 
 
-def _verify_case_linear(family: str, q: int, p: int, budget: Optional[int], n: Optional[int]) -> dict:
-    row: dict = {"family": family, "q": q, "p": p}
-    if family == "GL":
-        row["n"] = n
-        try:
-            fast = "redundant" if theorem_51_decide(n, q, p).redundant else "not-redundant"
-        except HypothesisFailed:
-            fast = None
-    else:
-        fast = "redundant" if theorem_D_decide(family, q, p).redundant else "not-redundant"
-    row["fast"] = fast
-    params = {"q": q} if family != "GL" else {"n": n, "q": q}
-    group = build_family(family, params, cap=budget)
-    brute = decide_redundant_bruteforce(group, p)
-    row["brute"] = brute.verdict
-    row["nu_p"] = brute.nu_p
-    row["agree"] = fast is None or fast == brute.verdict
-    return row
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise DomainError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def cmd_verify(args) -> tuple[int, str]:
-    if args.family not in FAMILY_NAMES:
+    if args.family not in FAMILIES:
         raise DomainError(f"unknown family {args.family!r}; choose one of {FAMILY_NAMES}")
-    p_values = [args.p] if args.p_list is None else [int(s) for s in args.p_list.split(",")]
+    family = FAMILIES[args.family]
+    p_values = [args.p] if args.p_list is None else _int_list("--p-list", args.p_list)
     if any(pv is None for pv in p_values):
         raise DomainError("verify requires --p or --p-list")
-    rows = []
-    if args.family in ("Sn", "An"):
-        if args.max_n is None:
-            raise DomainError(f"verify --family {args.family} requires --max-n")
-        low = 2 if args.family == "Sn" else 3
-        for n in range(low, args.max_n + 1):
-            for p in p_values:
-                rows.append(_verify_case_symmetric(args.family, n, p, args.budget))
-    else:
+    if "q" in family.params:
+        # field-size sweep; any other parameter (GL's n) is fixed by its flag
         if not args.q_list:
             raise DomainError(f"verify --family {args.family} requires --q-list")
-        if args.family == "GL" and args.n is None:
-            raise DomainError("verify --family GL requires --n")
-        q_values = [int(s) for s in args.q_list.split(",")]
-        for q in q_values:
-            for p in p_values:
-                rows.append(_verify_case_linear(args.family, q, p, args.budget, args.n))
+        q_values = _int_list("--q-list", args.q_list)
+        cases = [family_params(args.family, {**vars(args), "q": q}) for q in q_values]
+    else:
+        if args.max_n is None:
+            raise DomainError(f"verify --family {args.family} requires --max-n")
+        # S_1 is trivial, so the degree sweep starts at 2 at the earliest
+        low = max(family.params["n"], 2)
+        cases = [{"n": n} for n in range(low, args.max_n + 1)]
+    rows = [_verify_case(args.family, params, p, args.budget) for params in cases for p in p_values]
     all_agree = all(row["agree"] for row in rows)
     if args.format == "json":
         return (EXIT_OK if all_agree else EXIT_DISAGREEMENT), json.dumps(rows, indent=2)
@@ -313,7 +243,9 @@ def cmd_verify(args) -> tuple[int, str]:
     return (EXIT_OK if all_agree else EXIT_DISAGREEMENT), "\n".join(lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sylowcover",
         description="Decide whether a finite group has a redundant Sylow p-subgroup.",
@@ -330,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="enumeration cap (and exact-cover node limit); "
                              "SYLOWCOVER_BUDGET overrides the default")
         p_.add_argument("--threads", type=int, default=1,
-                        help="worker threads (results are deterministic regardless)")
+                        help="accepted and checked (must be at least 1) but has no effect: "
+                             "every command runs on one thread")
         p_.add_argument("--format", choices=("json", "text"), default="text")
         if with_method:
             p_.add_argument("--method", choices=("auto", "brute", "fast"), default="auto")

@@ -118,7 +118,7 @@ def cyclic_quotient_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     """If P/O_p(G) is cyclic, some element generates P over the core and is a
     unique-Sylow witness."""
     sylow = find_sylow(group, p)
-    core = group.largest_normal_p_subgroup(p, group._sylow_cache.get(p))
+    core = group.largest_normal_p_subgroup(p)
     witness = None
     for x in sylow.indices:
         if group.subgroup_closure(list(core.indices) + [x]).order == sylow.order:
@@ -242,7 +242,7 @@ def small_nu_test(group: FiniteGroup, p: int, system: Optional[SylowSystem] = No
         raise HypothesisFailed("the Sylow p-subgroup is normal")
     if system.nu > p * p:
         raise HypothesisFailed(f"nu_p = {system.nu} exceeds p^2 = {p * p}")
-    core = group.largest_normal_p_subgroup(p, system)
+    core = group.largest_normal_p_subgroup(p)
     quotient_p_part = p_part(group.order // core.order, p)
     if quotient_p_part != p:
         raise RuntimeError(

@@ -1,4 +1,4 @@
-"""Loading groups from JSON fixture files and family names.
+"""Loading groups from JSON fixture files, and the table of group families.
 
 Fixture schema (one JSON object per file; unknown keys are ignored so files
 can carry provenance notes):
@@ -16,16 +16,17 @@ first).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from functools import partial
+from math import factorial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError
 from .fields import make_field
 from .groups import FiniteGroup, enumerate_group
-from .linear import SquareMatrix, build_group
+from .linear import SquareMatrix, build_group, gl_order, psl_order, sl_order
 from .perm import Permutation
-
-FAMILY_NAMES = ("Sn", "An", "SL2", "PSL2", "GL")
 
 
 def symmetric_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
@@ -60,18 +61,59 @@ def alternating_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
     return group
 
 
+@dataclass(frozen=True)
+class Family:
+    """One family of groups, described once.
+
+    ``params`` maps each integer parameter to its least allowed value;
+    ``label`` formats the group's name from them, ``order`` gives |G| without
+    building the group, and ``build`` enumerates it (keyword arguments: the
+    params and ``cap``).  A built group carries the label as its name.
+    """
+
+    params: dict[str, int]
+    label: str
+    order: Callable[..., int]
+    build: Callable[..., FiniteGroup]
+
+    def describe(self, params: dict[str, int]) -> str:
+        return self.label.format(**params)
+
+
+# math.factorial takes no keyword arguments, hence the lambdas
+FAMILIES: dict[str, Family] = {
+    "Sn": Family({"n": 1}, "S_{n}", lambda n: factorial(n), symmetric_group),
+    "An": Family({"n": 3}, "A_{n}", lambda n: factorial(n) // 2, alternating_group),
+    "SL2": Family({"q": 2}, "SL(2,{q})", partial(sl_order, 2), partial(build_group, "SL", 2)),
+    "PSL2": Family({"q": 2}, "PSL(2,{q})", partial(psl_order, 2), partial(build_group, "PSL", 2)),
+    "GL": Family({"n": 1, "q": 2}, "GL({n},{q})", gl_order, partial(build_group, "GL")),
+}
+FAMILY_NAMES = tuple(FAMILIES)
+
+
+def family_params(name: object, params: object) -> dict[str, int]:
+    """The parameters of family ``name`` taken from ``params``, checked.
+
+    Each must be an int no smaller than the family's least value; keys the
+    family does not use are ignored.  Raises DomainError otherwise.
+    """
+    family = FAMILIES.get(name) if isinstance(name, str) else None
+    if family is None:
+        raise DomainError(f"unknown family {name!r}; choose one of {FAMILY_NAMES}")
+    if not isinstance(params, dict):
+        raise DomainError(f"family {name} params must be an object, got {params!r}")
+    checked = {}
+    for key, least in family.params.items():
+        value = params.get(key)
+        if type(value) is not int or value < least:
+            raise DomainError(f"family {name} requires an integer {key} >= {least}, got {value!r}")
+        checked[key] = value
+    return checked
+
+
 def build_family(name: str, params: dict, cap: Optional[int] = None) -> FiniteGroup:
-    if name == "Sn":
-        return symmetric_group(int(params["n"]), cap=cap)
-    if name == "An":
-        return alternating_group(int(params["n"]), cap=cap)
-    if name == "SL2":
-        return build_group("SL", 2, int(params["q"]), cap=cap)
-    if name == "PSL2":
-        return build_group("PSL", 2, int(params["q"]), cap=cap)
-    if name == "GL":
-        return build_group("GL", int(params["n"]), int(params["q"]), cap=cap)
-    raise DomainError(f"unknown family {name!r}; choose one of {FAMILY_NAMES}")
+    checked = family_params(name, params)
+    return FAMILIES[name].build(cap=cap, **checked)
 
 
 def load_fixture(path: str | Path, cap: Optional[int] = None) -> FiniteGroup:
@@ -100,5 +142,5 @@ def load_fixture(path: str | Path, cap: Optional[int] = None) -> FiniteGroup:
             gens.append(matrix)
         return enumerate_group(gens, name=data.get("name", path.stem), cap=cap)
     if kind == "family":
-        return build_family(data["name"], data.get("params", {}), cap=cap)
+        return build_family(data.get("name"), data.get("params", {}), cap=cap)
     raise DomainError(f"fixture kind must be permutation, matrix, or family; got {kind!r}")

@@ -376,32 +376,29 @@ class FiniteGroup:
                 covered = set(self.subgroup_closure(gens).indices)
         return tuple(gens)
 
-    def largest_normal_p_subgroup(self, p: int, sylow_system=None) -> Subgroup:
-        """O_p(G): the intersection of all Sylow p-subgroups."""
-        if sylow_system is not None:
-            nu = sylow_system.nu
-            core = [x for x, count in sylow_system.multiplicity.items() if count == nu]
-            core.append(self.identity)
-            return Subgroup(self, core)
+    def largest_normal_p_subgroup(self, p: int) -> Subgroup:
+        """O_p(G): the intersection of all Sylow p-subgroups.
+
+        That intersection is the union of the conjugacy classes lying inside
+        one Sylow subgroup P, which is the largest subset of P that
+        conjugation by every generator maps into itself.  Starting from P's
+        member keys, members whose conjugate by some generator has left the
+        set are dropped until none is; no other Sylow subgroup is built.
+        """
         from .sylow import find_sylow  # local import; sylow builds on this module
 
-        start = find_sylow(self, p)
-        core = set(start.indices)
-        seen = {start.member_set()}
-        queue = [start.indices]
-        mul = self.mul
-        inv = self.inv
-        for indices in queue:
-            if len(core) == 1:
+        keys = self._keys
+        mul = self.ops.mul
+        inv = self.ops.inv
+        conj = [(inv(keys[g]), keys[g]) for g in self.generators]
+        core = {keys[x] for x in find_sylow(self, p).indices}
+        while True:
+            kept = {k for k in core if all(mul(mul(ginv, k), g) in core for ginv, g in conj)}
+            if len(kept) == len(core):
                 break
-            for g in self.generators:
-                ginv = inv(g)
-                image = frozenset(mul(mul(ginv, x), g) for x in indices)
-                if image not in seen:
-                    seen.add(image)
-                    queue.append(tuple(image))
-                    core &= image
-        return Subgroup(self, core)
+            core = kept
+        index = self._index
+        return Subgroup(self, [index[k] for k in core])
 
     def self_check(self, sample: int = 50, seed: int = 0) -> None:
         """Spot-check table consistency: closure, inverses, associativity."""

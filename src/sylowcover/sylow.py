@@ -152,11 +152,7 @@ def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
     return system
 
 
-def unique_witnesses(system: SylowSystem) -> list[int]:
-    return system.unique_witnesses()
-
-
-def decide_redundant_bruteforce(group: FiniteGroup, p: int, descriptor: Optional[str] = None) -> DecisionReport:
+def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
     """Exhaustive decision: redundant iff no p-element has multiplicity one.
 
     The witness, when one exists, is the lowest-index p-element lying in a
@@ -168,7 +164,7 @@ def decide_redundant_bruteforce(group: FiniteGroup, p: int, descriptor: Optional
     elapsed = (time.perf_counter() - start) * 1000.0
     if witnesses:
         return DecisionReport(
-            group=descriptor or group.describe(),
+            group=group.describe(),
             order=group.order,
             p=p,
             verdict="not-redundant",
@@ -179,7 +175,7 @@ def decide_redundant_bruteforce(group: FiniteGroup, p: int, descriptor: Optional
             elapsed_ms=elapsed,
         )
     return DecisionReport(
-        group=descriptor or group.describe(),
+        group=group.describe(),
         order=group.order,
         p=p,
         verdict="redundant",

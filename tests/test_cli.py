@@ -1,12 +1,16 @@
+import importlib.util
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from sylowcover import cli
 from sylowcover.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, main
 from sylowcover.report import DecisionReport
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = REPO_ROOT / "fixtures"
 
 
 def run(capsys, *argv):
@@ -209,3 +213,65 @@ def test_auto_routing_agrees_with_brute_force(capsys):
         auto = decide_json(capsys, *source, "--p", "2")
         brute = decide_json(capsys, *source, "--p", "2", "--method", "brute")
         assert auto.verdict == brute.verdict, source
+
+
+def test_successive_calls_share_no_state(capsys):
+    # the parser is built once per process; parsed options must not carry over
+    _, out, _ = run(capsys, "cover", "--family", "Sn", "--n", "4", "--p", "2",
+                    "--mode", "exact", "--format", "json")
+    assert json.loads(out)["mode"] == "exact"
+    _, out, _ = run(capsys, "cover", "--family", "Sn", "--n", "4", "--p", "2", "--format", "json")
+    assert json.loads(out)["mode"] == "greedy"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--family", "Sn", "--n", "-1", "--p", "2"],
+    ["decide", "--family", "SL2", "--q", "1", "--p", "2"],
+    ["decide", "--family", "GL", "--n", "0", "--q", "3", "--p", "3"],
+    ["verify", "--family", "Sn", "--max-n", "4", "--p-list", "2,x"],
+    ["verify", "--family", "SL2", "--q-list", "3,y", "--p", "2"],
+    ["decide", "--fixture", "FAMILY_WITHOUT_PARAMS", "--p", "2"],
+])
+def test_malformed_family_input_is_bad_input(capsys, tmp_path, argv):
+    fixture = tmp_path / "family.json"
+    fixture.write_text(json.dumps({"kind": "family", "name": "Sn", "params": {}}))
+    argv = [str(fixture) if arg == "FAMILY_WITHOUT_PARAMS" else arg for arg in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["brute", "auto"])
+def test_elapsed_ms_includes_group_build(capsys, monkeypatch, method):
+    build_family = cli.build_family
+
+    def slow_build(*args, **kwargs):
+        time.sleep(0.05)
+        return build_family(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_family", slow_build)
+    # no closed form applies to A_5 at p = 3, so auto builds the group too
+    report = decide_json(capsys, "--family", "An", "--n", "5", "--p", "3", "--method", method)
+    assert report.elapsed_ms >= 50
+
+
+def test_benchmark_tracer_finds_every_traced_name(capsys):
+    # the tracer wraps names where cli and the engine look them up, and raises
+    # KeyError for one that is gone
+    spec = importlib.util.spec_from_file_location("tracer", REPO_ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    original_main = cli.main
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        for argv in (["--family", "SL2", "--q", "9"], ["--family", "An", "--n", "9"]):
+            assert cli.main(["decide", *argv, "--p", "2"]) == EXIT_OK
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert cli.main is original_main
+    metrics = tracer.metrics()
+    assert metrics["linear.closed_form_s"][0] > 0
+    assert metrics["symmetric.closed_form_s"][0] > 0

@@ -8,8 +8,10 @@ from sylowcover import (
     Permutation,
     alternating_group,
     enumerate_group,
+    enumerate_sylows,
     find_sylow,
     load_fixture,
+    symmetric_group,
 )
 
 from conftest import FIXTURE_DIR
@@ -181,6 +183,19 @@ def test_largest_normal_p_subgroup_s4(s4):
 
 def test_largest_normal_p_subgroup_for_coprime_p(s3):
     assert s3.largest_normal_p_subgroup(5).order == 1
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "A5", "S5", "frobenius21", "g108", "sl23_matrix", "sl28"])
+def test_largest_normal_p_subgroup_is_intersection_of_all_sylows(name, s4, a4):
+    # the elements lying in every Sylow subgroup, read from the full system
+    groups = {"S4": lambda: s4, "A4": lambda: a4, "A5": lambda: alternating_group(5),
+              "S5": lambda: symmetric_group(5)}
+    group = groups.get(name, lambda: load_fixture(FIXTURE_DIR / f"{name}.json"))()
+    coprime = next(q for q in (2, 3, 5, 7) if group.order % q)
+    for p in [p for p, _ in group.order_factorization()] + [coprime]:
+        system = enumerate_sylows(group, p)
+        expected = tuple(sorted(x for x, count in system.multiplicity.items() if count == system.nu))
+        assert group.largest_normal_p_subgroup(p).indices == expected, (name, p)
 
 
 def test_group_self_check(s4, a4):
