@@ -243,10 +243,20 @@ def cmd_verify(args) -> tuple[int, str]:
     return (EXIT_OK if all_agree else EXIT_DISAGREEMENT), "\n".join(lines)
 
 
+class _OneLineParser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr, without the usage block.
+
+    ``add_subparsers`` builds the subcommand parsers with this class too.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _OneLineParser(
         prog="sylowcover",
         description="Decide whether a finite group has a redundant Sylow p-subgroup.",
     )

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import HypothesisFailed
+from .errors import DomainError, HypothesisFailed
 from .groups import FiniteGroup, Subgroup
 from .numtheory import p_part
 from .report import CriterionOutcome
@@ -116,12 +116,28 @@ def navarro_test(group: FiniteGroup, p: int, x: Optional[int] = None, system: Op
 
 def cyclic_quotient_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     """If P/O_p(G) is cyclic, some element generates P over the core and is a
-    unique-Sylow witness."""
+    unique-Sylow witness.
+
+    O_p(G) is normal, so <O_p, x> = O_p<x> has order |O_p| * k for the least
+    k >= 1 with x^k in O_p: x generates P over the core exactly when
+    k = |P : O_p|.  The witness is the first such x of the Sylow subgroup's
+    indices, and k is found by multiplying on keys.
+    """
     sylow = find_sylow(group, p)
     core = group.largest_normal_p_subgroup(p)
+    keys = group.keys
+    mul = group.ops.mul
+    core_keys = {keys[c] for c in core.indices}
+    quotient = sylow.order // core.order
     witness = None
     for x in sylow.indices:
-        if group.subgroup_closure(list(core.indices) + [x]).order == sylow.order:
+        xk = keys[x]
+        power = xk
+        k = 1
+        while power not in core_keys:
+            power = mul(power, xk)
+            k += 1
+        if k == quotient:
             witness = x
             break
     evidence = {
@@ -162,19 +178,19 @@ def normal_p_complement(group: FiniteGroup, p: int) -> Optional[Subgroup]:
     """The normal subgroup of p'-elements, when the p'-elements form one.
 
     At enumeration scale it is enough to check that the p'-element set has
-    the right order and is closed under products; conjugation preserves
-    element orders, so closure makes it normal automatically.
+    the right order and is a subgroup (``Subgroup.verify``); conjugation
+    preserves element orders, so it is then normal automatically.
     """
     complement_order = group.order // p_part(group.order, p)
     members = group.p_prime_elements(p)
     if len(members) != complement_order:
         return None
-    member_set = frozenset(members)
-    for x in members:
-        for y in members:
-            if group.mul(x, y) not in member_set:
-                return None
-    return Subgroup(group, members)
+    complement = Subgroup(group, members)
+    try:
+        complement.verify()
+    except DomainError:
+        return None
+    return complement
 
 
 def pnilpotent_test(group: FiniteGroup, p: int) -> CriterionOutcome:
@@ -190,23 +206,25 @@ def pnilpotent_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     sylow = find_sylow(group, p)
     if sylow.order == 1:
         raise HypothesisFailed("the Sylow p-subgroup is trivial")
-    mul = group.mul
-    identity = group.identity
+    keys = group.keys
+    mul = group.ops.mul
+    complement_keys = [keys[n] for n in complement.indices]
 
-    def centralizer_in_complement(x: int) -> int:
-        return sum(1 for n in complement.indices if mul(n, x) == mul(x, n))
+    def centralizer_in_complement(x: bytes) -> int:
+        return sum(1 for n in complement_keys if mul(n, x) == mul(x, n))
 
+    sylow_gens = [keys[x] for x in sylow.generating_indices()]
     fixed_by_all = 0
-    for n in complement.indices:
-        if all(mul(n, x) == mul(x, n) for x in sylow.generating_indices()):
+    for n in complement_keys:
+        if all(mul(n, x) == mul(x, n) for x in sylow_gens):
             fixed_by_all += 1
     if fixed_by_all != 1:
         raise HypothesisFailed(f"C_N(P) has order {fixed_by_all}, expected 1")
     lonely = None
     for x in sylow.indices:
-        if x == identity:
+        if x == group.identity:
             continue
-        if centralizer_in_complement(x) == 1:
+        if centralizer_in_complement(keys[x]) == 1:
             lonely = x
             break
     evidence = {"complement_order": complement.order, "sylow_order": sylow.order}

@@ -95,9 +95,10 @@ class Field:
     """GF(q) with precomputed operation tables over integer-encoded elements."""
 
     def __init__(self, q: int):
-        p, k = prime_power_decomposition(q)
+        # bound first: factoring a huge q by trial division would not finish
         if q > MAX_FIELD_SIZE:
             raise DomainError(f"field size {q} exceeds the supported bound {MAX_FIELD_SIZE}")
+        p, k = prime_power_decomposition(q)
         self.q = q
         self.p = p
         self.k = k

@@ -26,12 +26,12 @@ from .errors import DomainError
 from .fields import make_field
 from .groups import FiniteGroup, enumerate_group
 from .linear import SquareMatrix, build_group, gl_order, psl_order, sl_order
-from .perm import Permutation
+from .perm import MAX_DEGREE, Permutation
 
 
 def symmetric_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
+    if not 1 <= n <= MAX_DEGREE:
+        raise DomainError(f"n must be in 1..{MAX_DEGREE}, got {n}")
     if n == 1:
         return enumerate_group([Permutation.identity(1)], name="S_1", cap=cap)
     gens = [Permutation.from_cycles(n, [(1, 2)]), Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
@@ -45,8 +45,8 @@ def symmetric_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
 
 
 def alternating_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
-    if n < 3:
-        raise DomainError(f"n must be at least 3, got {n}")
+    if not 3 <= n <= MAX_DEGREE:
+        raise DomainError(f"n must be in 3..{MAX_DEGREE}, got {n}")
     if n % 2 == 1:
         cycle = tuple(range(1, n + 1))
     else:
@@ -116,31 +116,65 @@ def build_family(name: str, params: dict, cap: Optional[int] = None) -> FiniteGr
     return FAMILIES[name].build(cap=cap, **checked)
 
 
+def _int_field(data: dict, key: str) -> int:
+    value = data.get(key)
+    if type(value) is not int:
+        raise DomainError(f"fixture field {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _generator_lists(data: dict) -> list[list]:
+    gens = data.get("generators")
+    if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+        raise DomainError(f"fixture field 'generators' must be a list of lists, got {gens!r}")
+    return gens
+
+
+def _check_int_entries(entries: list) -> None:
+    # a permutation lists images; a matrix lists entries, flat or by rows
+    if entries and all(isinstance(row, list) for row in entries):
+        entries = [e for row in entries for e in row]
+    if not all(type(e) is int for e in entries):
+        raise DomainError(f"generator entries must be integers, got {entries!r}")
+
+
 def load_fixture(path: str | Path, cap: Optional[int] = None) -> FiniteGroup:
+    """Load a fixture file; any malformed content raises DomainError."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
     except FileNotFoundError:
         raise DomainError(f"fixture file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise DomainError(f"cannot read fixture file {path}: {exc.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DomainError(f"fixture file {path} is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise DomainError(f"fixture file {path} must hold a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "permutation":
-        degree = int(data["degree"])
-        gens = [Permutation(images) for images in data["generators"]]
-        if any(g.degree != degree for g in gens):
-            raise DomainError(f"generator degree disagrees with the declared degree {degree}")
-        return enumerate_group(gens, name=data.get("name", path.stem), cap=cap)
-    if kind == "matrix":
-        field = make_field(int(data["q"]))
-        dim = int(data["dim"])
-        gens = []
-        for entries in data["generators"]:
-            matrix = SquareMatrix(field, entries)
-            if matrix.dim != dim:
-                raise DomainError(f"generator dimension disagrees with the declared dim {dim}")
-            gens.append(matrix)
-        return enumerate_group(gens, name=data.get("name", path.stem), cap=cap)
     if kind == "family":
         return build_family(data.get("name"), data.get("params", {}), cap=cap)
-    raise DomainError(f"fixture kind must be permutation, matrix, or family; got {kind!r}")
+    if kind not in ("permutation", "matrix"):
+        raise DomainError(f"fixture kind must be permutation, matrix, or family; got {kind!r}")
+    name = data.get("name", path.stem)
+    if not isinstance(name, str):
+        raise DomainError(f"fixture field 'name' must be a string, got {name!r}")
+    if kind == "permutation":
+        degree = _int_field(data, "degree")
+        gens = []
+        for images in _generator_lists(data):
+            _check_int_entries(images)
+            gens.append(Permutation(images))
+        if any(g.degree != degree for g in gens):
+            raise DomainError(f"generator degree disagrees with the declared degree {degree}")
+        return enumerate_group(gens, name=name, cap=cap)
+    field = make_field(_int_field(data, "q"))
+    dim = _int_field(data, "dim")
+    gens = []
+    for entries in _generator_lists(data):
+        _check_int_entries(entries)
+        matrix = SquareMatrix(field, entries)
+        if matrix.dim != dim:
+            raise DomainError(f"generator dimension disagrees with the declared dim {dim}")
+        gens.append(matrix)
+    return enumerate_group(gens, name=name, cap=cap)

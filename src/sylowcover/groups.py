@@ -3,10 +3,11 @@
 A :class:`FiniteGroup` owns an element table built by breadth-first closure of
 its generator list, so element indices are deterministic for a fixed generator
 order.  Subgroups, Sylow systems and every result handed out name elements by
-index.  The hot loops (the p-element scan, powers, normalizer membership and
-conjugation of whole subgroups) run on element keys through a small key-level
-ops object and convert to indices only where a result leaves the loop; a
-key -> index -> key round trip per product would cost more than the product.
+index.  The hot loops (the p-element scan, powers, subgroup closures,
+normalizer membership and conjugation of whole subgroups) run on element keys
+through a small key-level ops object and convert to indices only where a
+result leaves the loop; a key -> index -> key round trip per product would
+cost more than the product.
 """
 
 from __future__ import annotations
@@ -71,14 +72,22 @@ class Subgroup:
         return self._set
 
     def verify(self) -> None:
-        """Check closure under products and inverses; raise DomainError if violated."""
+        """Check that the index set is a subgroup; raise DomainError if not.
+
+        S = ``generating_indices()`` lies in H and generates a group
+        containing H.  If H*s lies in H for every s in S, H holds every
+        positive word in S, which in a finite group is all of <S>, so H is
+        that subgroup: |H|*|S| products instead of the |H|^2 of the pairwise
+        definition, with the same answer.  Inverses follow from closure.
+        """
         g = self.group
-        members = self._set
-        for x in self.indices:
-            if g.inv(x) not in members:
-                raise DomainError("index set is not closed under inverses")
-            for y in self.indices:
-                if g.mul(x, y) not in members:
+        keys = g.keys
+        mul = g.ops.mul
+        members = {keys[x] for x in self.indices}
+        for s in self.generating_indices():
+            sk = keys[s]
+            for h in members:
+                if mul(h, sk) not in members:
                     raise DomainError("index set is not closed under products")
 
     def generating_indices(self) -> tuple[int, ...]:
@@ -88,11 +97,13 @@ class Subgroup:
         return self._generators
 
     def is_abelian(self) -> bool:
-        g = self.group
-        idx = self.indices
-        for i, x in enumerate(idx):
-            for y in idx[i + 1:]:
-                if g.mul(x, y) != g.mul(y, x):
+        """True when the generators commute pairwise, which makes H abelian."""
+        keys = self.group.keys
+        mul = self.group.ops.mul
+        gens = [keys[x] for x in self.generating_indices()]
+        for i, x in enumerate(gens):
+            for y in gens[i + 1:]:
+                if mul(x, y) != mul(y, x):
                     return False
         return True
 
@@ -112,6 +123,54 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of |G|={self.group.order})"
+
+
+class KeyClosure:
+    """A subgroup grown on element keys, one generator at a time.
+
+    ``members`` is always the subgroup generated by ``gens``; ``elements``
+    lists the same keys.  ``add`` adjoins a key outside it: the old subgroup
+    H splits the new one into right cosets H*w, so only one product w*s per
+    coset representative w and generator s is tested, and each new coset
+    H*w is filled by |H| products that cannot meet the old members.  A
+    subgroup grown this way costs about one product per member, where a
+    breadth-first closure costs one per member and generator.
+    """
+
+    __slots__ = ("_group", "_mul", "members", "elements", "gens")
+
+    def __init__(self, group: "FiniteGroup"):
+        identity = group.keys[group.identity]
+        self._group = group
+        self._mul = group.ops.mul
+        self.members = {identity}
+        self.elements = [identity]
+        self.gens: list[bytes] = []
+
+    def add(self, key: bytes) -> bool:
+        """Adjoin ``key``; False (and no work) when it is already a member."""
+        members = self.members
+        if key in members:
+            return False
+        mul = self._mul
+        base = self.elements[:]
+        gens = self.gens
+        gens.append(key)
+        reps = [base[0]]
+        for w in reps:
+            for s in gens:
+                ws = mul(w, s)
+                if ws not in members:
+                    # (H*w)*s = H*(w*s); cosets of H are equal or disjoint
+                    coset = [mul(h, ws) for h in base]
+                    members.update(coset)
+                    self.elements.extend(coset)
+                    reps.append(ws)
+        return True
+
+    def subgroup(self) -> Subgroup:
+        index = self._group.key_index
+        return Subgroup(self._group, [index[k] for k in self.elements])
 
 
 class FiniteGroup:
@@ -147,7 +206,10 @@ class FiniteGroup:
         self._p_elements: dict[int, list[int]] = {}
         self._elements: dict[int, object] = {}
         self._centralizers: dict[int, Subgroup] = {}
+        # Sylow systems by p; find_sylow's subgroup by p, also when no
+        # system was built
         self._sylow_cache: dict[int, object] = {}
+        self._sylow_subgroups: dict[int, Subgroup] = {}
         self._order_factorization: Optional[list[tuple[int, int]]] = None
 
     # -- element access -------------------------------------------------
@@ -199,7 +261,14 @@ class FiniteGroup:
         if table is None:
             index = self._index
             inv = self.ops.inv
-            table = [index[inv(k)] for k in self._keys]
+            table = [-1] * self.order
+            # inverses come in pairs, so each pair costs one inversion; the
+            # indices are the dict's own int objects, so the table adds none
+            for k, i in index.items():
+                if table[i] < 0:
+                    j = index[inv(k)]
+                    table[i] = j
+                    table[j] = i
             self._inv = table
         return table
 
@@ -282,17 +351,20 @@ class FiniteGroup:
         The orbit-stabilizer identity |class| * |centralizer| = |G| is checked
         on every call.
         """
-        seen = {x}
-        queue = [x]
-        mul = self.mul
-        conj = [(self.inv(g), g) for g in self.generators]
+        keys = self._keys
+        mul = self.ops.mul
+        inverses = self._inverse_table()
+        conj = [(keys[inverses[g]], keys[g]) for g in self.generators]
+        seen = {keys[x]}
+        queue = [keys[x]]
         for y in queue:
             for ginv, g in conj:
                 z = mul(mul(ginv, y), g)
                 if z not in seen:
                     seen.add(z)
                     queue.append(z)
-        cls = tuple(sorted(seen))
+        index = self._index
+        cls = tuple(sorted(index[k] for k in seen))
         if len(cls) * self.centralizer(x).order != self.order:
             raise RuntimeError("orbit-stabilizer identity violated; group table is corrupt")
         return cls
@@ -302,8 +374,9 @@ class FiniteGroup:
         cached = self._centralizers.get(x)
         if cached is not None:
             return cached
-        mul = self.mul
-        members = [g for g in range(self.order) if mul(g, x) == mul(x, g)]
+        mul = self.ops.mul
+        xk = self._keys[x]
+        members = [g for g, gk in enumerate(self._keys) if mul(gk, xk) == mul(xk, gk)]
         sub = Subgroup(self, members)
         self._centralizers[x] = sub
         return sub
@@ -313,19 +386,23 @@ class FiniteGroup:
         if subgroup.group is not self:
             raise DomainError("subgroup belongs to a different group")
         subgroup.verify()
-        return Subgroup(self, self.normalizing_elements(subgroup, range(self.order)))
+        keys = self._keys
+        members = {keys[h] for h in subgroup.indices}
+        gens = [keys[h] for h in subgroup.generating_indices()]
+        return Subgroup(self, self.normalizing_elements(members, gens, range(self.order)))
 
-    def normalizing_elements(self, subgroup: Subgroup, candidates: Iterable[int]) -> Iterator[int]:
+    def normalizing_elements(
+        self, members: set[bytes], gens: Sequence[bytes], candidates: Iterable[int]
+    ) -> Iterator[int]:
         """The candidates g with g^-1 H g = H, lazily and in the given order.
 
-        H's generators are conjugated on keys and looked up in a set of H's
-        member keys, so no product goes through the index table.
+        H is given by its member keys and the keys of a generating set; the
+        generators are conjugated on keys and looked up in the member set, so
+        no product goes through the index table.
         """
         keys = self._keys
         inverses = self._inverse_table()
         mul = self.ops.mul
-        members = {keys[h] for h in subgroup.indices}
-        gens = [keys[h] for h in subgroup.generating_indices()]
         for g in candidates:
             gk = keys[g]
             ginv = keys[inverses[g]]
@@ -340,24 +417,11 @@ class FiniteGroup:
         seed = list(seed)
         if not seed:
             raise DomainError("seed must be nonempty")
-        mul = self.mul
-        members = {self.identity}
-        queue = [self.identity]
-        gens = []
+        closure = KeyClosure(self)
+        keys = self._keys
         for s in seed:
-            if s not in members:
-                gens.append(s)
-                members.add(s)
-                queue.append(s)
-        # Positive words in the seed suffice: in a finite group the set of
-        # positive words is closed and therefore already contains inverses.
-        for x in queue:
-            for g in gens:
-                y = mul(x, g)
-                if y not in members:
-                    members.add(y)
-                    queue.append(y)
-        return Subgroup(self, members)
+            closure.add(keys[s])
+        return closure.subgroup()
 
     def trivial_subgroup(self) -> Subgroup:
         return Subgroup(self, (self.identity,))
@@ -366,15 +430,14 @@ class FiniteGroup:
         return Subgroup(self, range(self.order))
 
     def minimal_generating_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
-        """Greedy generating subset of an index set, by ascending index."""
-        target = sorted(set(indices))
-        gens: list[int] = []
-        covered = {self.identity}
-        for idx in target:
-            if idx not in covered:
-                gens.append(idx)
-                covered = set(self.subgroup_closure(gens).indices)
-        return tuple(gens)
+        """Greedy generating subset of an index set, by ascending index.
+
+        One closure grows as generators are taken, so each index costs a
+        membership test unless it becomes a generator.
+        """
+        closure = KeyClosure(self)
+        keys = self._keys
+        return tuple(idx for idx in sorted(set(indices)) if closure.add(keys[idx]))
 
     def largest_normal_p_subgroup(self, p: int) -> Subgroup:
         """O_p(G): the intersection of all Sylow p-subgroups.

@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
-from .groups import FiniteGroup, Subgroup, enumerate_group, resolve_cap
+from .groups import FiniteGroup, KeyClosure, Subgroup, enumerate_group, resolve_cap
 from .numtheory import is_prime, p_part, prime_power_decomposition
 from .perm import Permutation
 
@@ -279,6 +279,10 @@ def _projective_action(gen: SquareMatrix, points: list[tuple[int, int]], f: Fiel
 def build_group(family: str, n: int, q: int, cap: Optional[int] = None) -> FiniteGroup:
     """Enumerate GL(n,q), SL(n,q), or PSL(2,q); orders verified against formulas."""
     f = make_field(q)
+    # |SL(n,q)| >= 2^(n(n-1)/2): refuse a huge n before its exact order is computed
+    limit = resolve_cap(cap)
+    if n * (n - 1) // 2 >= limit.bit_length():
+        raise ClosureBudgetExceeded(limit)
     if family == "GL":
         expected = gl_order(n, q)
         _check_cap(expected, cap)
@@ -432,16 +436,24 @@ def wreath_cpcp(p: int, cap: Optional[int] = None) -> FiniteGroup:
     return group
 
 
-def _frattini_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> Subgroup:
-    """Frattini subgroup of a p-subgroup: generated by commutators and p-th powers."""
-    seed = {group.identity}
-    for x in sub.indices:
-        seed.add(group.power(x, p))
-    for x in sub.indices:
-        xinv = group.inv(x)
-        for y in sub.indices:
-            seed.add(group.mul(group.mul(group.mul(xinv, group.inv(y)), x), y))
-    return group.subgroup_closure(seed)
+def _frattini_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> KeyClosure:
+    """Frattini subgroup of a p-subgroup: generated by commutators and p-th powers.
+
+    Every p-th power and commutator is formed on keys; one closure grows by
+    those that are not members yet.
+    """
+    keys = group.keys
+    mul = group.ops.mul
+    inv = group.ops.inv
+    members = [keys[x] for x in sub.indices]
+    closure = KeyClosure(group)
+    for x in members:
+        closure.add(group.key_power(x, p))
+    for x in members:
+        xinv = inv(x)
+        for y in members:
+            closure.add(mul(mul(mul(xinv, inv(y)), x), y))
+    return closure
 
 
 def maximal_subgroups_of_p_group(group: FiniteGroup, sub: Subgroup, p: int) -> list[Subgroup]:
@@ -453,18 +465,23 @@ def maximal_subgroups_of_p_group(group: FiniteGroup, sub: Subgroup, p: int) -> l
     representative.
     """
     phi = _frattini_subgroup(group, sub, p)
-    if sub.order != phi.order * p * p:
+    if sub.order != len(phi.members) * p * p:
         raise DomainError("only p-groups with a rank-2 Frattini quotient are supported")
-    phi_set = phi.member_set()
-    maximal: set[frozenset[int]] = set()
+    keys = group.keys
+    maximal: list[KeyClosure] = []
     for x in sub.indices:
-        if x in phi_set:
+        xk = keys[x]
+        # with a rank-2 Frattini quotient, x outside phi lies in exactly one
+        # maximal subgroup, <phi, x>; one closure per maximal subgroup
+        if xk in phi.members or any(xk in m.members for m in maximal):
             continue
-        candidate = group.subgroup_closure(list(phi.indices) + [x])
-        maximal.add(candidate.member_set())
+        candidate = KeyClosure(group)
+        for k in phi.gens + [xk]:
+            candidate.add(k)
+        maximal.append(candidate)
     if len(maximal) != p + 1:
         raise RuntimeError(f"found {len(maximal)} maximal subgroups, expected {p + 1}")
-    return [Subgroup(group, members) for members in sorted(maximal, key=sorted)]
+    return sorted((m.subgroup() for m in maximal), key=lambda m: m.indices)
 
 
 def gl_wreath_checks(p: int, q: int, cap: Optional[int] = None, group: Optional[FiniteGroup] = None) -> dict[str, Any]:

@@ -64,7 +64,12 @@ class Permutation:
     __slots__ = ("key",)
 
     def __init__(self, images: Iterable[int]):
-        key = bytes(images)
+        try:
+            key = bytes(images)
+        except (TypeError, ValueError):
+            raise DomainError(
+                f"images must be integers in 0..{MAX_DEGREE - 1} (degree at most {MAX_DEGREE})"
+            ) from None
         n = len(key)
         if n == 0 or n > MAX_DEGREE:
             raise DomainError(f"degree must be in 1..{MAX_DEGREE}, got {n}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, KeyClosure, Subgroup
 from .numtheory import is_prime, p_part
 from .report import DecisionReport
 
@@ -70,32 +70,38 @@ class CoverResult:
 
 
 def find_sylow(group: FiniteGroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup, grown deterministically.
+    """A Sylow p-subgroup, grown deterministically and cached per (group, p).
 
     Starts from the cyclic subgroup on the lowest-index nonidentity p-element
     and, while the order is short of the p-part of |G|, adjoins the
     lowest-index p-element outside the current subgroup that normalizes it.
     A proper p-subgroup always admits such an element, so this terminates.
+    One closure grows on element keys, generated by the seed and the
+    extensions found so far.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
-    cached = group._sylow_cache.get(p)
+    cached = group._sylow_subgroups.get(p)
     if cached is not None:
-        return cached.sylows[0]
+        return cached
     target = p_part(group.order, p)
     if target == 1:
-        return group.trivial_subgroup()
-    p_els = group.p_elements(p)
-    seed = next(x for x in p_els if x != group.identity)
-    current = group.subgroup_closure([seed])
-    while current.order < target:
-        members = current.member_set()
-        outside = (x for x in p_els if x not in members)
-        extension = next(group.normalizing_elements(current, outside), None)
-        if extension is None:
-            raise RuntimeError("no normalizing p-element found; group table is corrupt")
-        current = group.subgroup_closure(list(current.indices) + [extension])
-    return current
+        sylow = group.trivial_subgroup()
+    else:
+        keys = group.keys
+        p_els = group.p_elements(p)
+        closure = KeyClosure(group)
+        closure.add(keys[next(x for x in p_els if x != group.identity)])
+        members = closure.members
+        while len(members) < target:
+            outside = (x for x in p_els if keys[x] not in members)
+            extension = next(group.normalizing_elements(members, closure.gens, outside), None)
+            if extension is None:
+                raise RuntimeError("no normalizing p-element found; group table is corrupt")
+            closure.add(keys[extension])
+        sylow = closure.subgroup()
+    group._sylow_subgroups[p] = sylow
+    return sylow
 
 
 def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
@@ -121,7 +127,7 @@ def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
     for sub in sylows:
         member_keys = [keys[x] for x in sub.indices]
         for ginv, g in conj:
-            image = frozenset(index[mul(mul(ginv, k), g)] for k in member_keys)
+            image = frozenset([index[mul(mul(ginv, k), g)] for k in member_keys])
             if image not in seen:
                 seen.add(image)
                 sylows.append(Subgroup(group, image))

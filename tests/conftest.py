@@ -86,3 +86,23 @@ def c6():
         [Permutation.from_cycles(5, [(1, 2)]), Permutation.from_cycles(5, [(3, 4, 5)])],
         name="C6",
     )
+
+
+def index_closure(group, seed) -> frozenset[int]:
+    """The subgroup generated by seed indices: breadth-first over positive
+    words through the index table's ``mul``, every seed a generator."""
+    members = {group.identity}
+    queue = [group.identity]
+    gens = []
+    for s in seed:
+        if s not in members:
+            gens.append(s)
+            members.add(s)
+            queue.append(s)
+    for x in queue:
+        for g in gens:
+            y = group.mul(x, g)
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+    return frozenset(members)

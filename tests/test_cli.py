@@ -275,3 +275,27 @@ def test_benchmark_tracer_finds_every_traced_name(capsys):
     metrics = tracer.metrics()
     assert metrics["linear.closed_form_s"][0] > 0
     assert metrics["symmetric.closed_form_s"][0] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--family", "Sn", "--n", "x", "--p", "2"],
+    ["decide", "--format", "xml"],
+    ["cover", "--mode", "fastest"],
+    ["decide", "--bogus"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_BAD_INPUT
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and ": error: " in out.err
+    assert "usage:" not in out.err
+
+
+def test_usage_error_names_the_subcommand(capsys):
+    with pytest.raises(SystemExit):
+        main(["decide", "--family", "Sn", "--n", "x", "--p", "2"])
+    assert capsys.readouterr().err == "sylowcover decide: error: argument --n: invalid int value: 'x'\n"

@@ -3,19 +3,25 @@ import pytest
 from sylowcover import (
     HypothesisFailed,
     Permutation,
+    alternating_group,
     class_size_test,
     counting_bound_test,
     cyclic_quotient_test,
     decide_redundant_bruteforce,
     enumerate_sylows,
+    find_sylow,
+    load_fixture,
     navarro_test,
     normal_p_complement,
     p_element_count_bound,
     pnilpotent_test,
     small_nu_test,
+    symmetric_group,
     ti_test,
 )
 from sylowcover.criteria import run_structural_criteria
+
+from conftest import FIXTURE_DIR, index_closure
 
 
 def a8_double_four_cycle(a8):
@@ -216,3 +222,23 @@ def test_run_structural_criteria_all_inconclusive(g108):
     verdict, outcomes = run_structural_criteria(g108, 2)
     assert verdict is None
     assert [o.name for o in outcomes] == ["cyclic-quotient", "small-nu", "ti-sylow"]
+
+
+@pytest.mark.parametrize("name", ["S4", "A4", "A5", "S5", "frobenius21", "g108", "sl23_matrix", "sl28"])
+def test_cyclic_quotient_witness_is_the_first_generator_over_the_core(name, s4, a4):
+    # the definition: the first x of P with |<O_p(G), x>| = |P|, each closure
+    # taken breadth-first through the index table
+    groups = {"S4": lambda: s4, "A4": lambda: a4, "A5": lambda: alternating_group(5),
+              "S5": lambda: symmetric_group(5)}
+    group = groups.get(name, lambda: load_fixture(FIXTURE_DIR / f"{name}.json"))()
+    for p, _ in group.order_factorization():
+        sylow = find_sylow(group, p)
+        core = group.largest_normal_p_subgroup(p).indices
+        expected = next(
+            (x for x in sylow.indices if len(index_closure(group, [*core, x])) == sylow.order), None
+        )
+        outcome = cyclic_quotient_test(group, p)
+        assert outcome.evidence["cyclic_quotient"] == (expected is not None), (name, p)
+        assert outcome.evidence.get("witness") == (
+            None if expected is None else group.render(expected)
+        ), (name, p)

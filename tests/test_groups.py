@@ -14,7 +14,10 @@ from sylowcover import (
     symmetric_group,
 )
 
-from conftest import FIXTURE_DIR
+from sylowcover.groups import Subgroup
+from sylowcover.perm import PermutationOps
+
+from conftest import FIXTURE_DIR, index_closure
 from oracles import closure as oracle_closure, is_p_power_order, conjugacy_class as oracle_class
 
 S4_GENS = [Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 2, 3, 4)])]
@@ -207,3 +210,114 @@ def test_power_negative_exponent(s4):
     x = s4.index_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]))
     assert s4.power(x, -1) == s4.inv(x)
     assert s4.power(x, 0) == s4.identity
+
+
+def _pairwise_subgroup(group, members) -> bool:
+    """The definition: closed under inverses and under products, pair by pair."""
+    return all(group.inv(x) in members for x in members) and all(
+        group.mul(x, y) in members for x in members for y in members
+    )
+
+
+def _greedy_from_scratch(group, indices) -> tuple[int, ...]:
+    """Greedy generators by ascending index, re-closing after each one taken."""
+    gens: list[int] = []
+    covered = {group.identity}
+    for idx in sorted(set(indices)):
+        if idx not in covered:
+            gens.append(idx)
+            covered = index_closure(group, gens)
+    return tuple(gens)
+
+
+def _named_group(name, s4):
+    if name == "S4":
+        return s4
+    if name == "A5":
+        return alternating_group(5)
+    return load_fixture(FIXTURE_DIR / f"{name}.json")
+
+
+def _subgroups_of(group):
+    """Every Sylow subgroup and every element centralizer, as member sets."""
+    subs = {group.centralizer(x).member_set() for x in range(group.order)}
+    for p, _ in group.order_factorization():
+        subs.update(sub.member_set() for sub in enumerate_sylows(group, p).sylows)
+    return sorted(subs, key=sorted)
+
+
+def _perturbed_sets(group, subs, rng):
+    """Subgroups minus one element, plus one element, with one swapped, and
+    random identity-containing sets whose size divides |G|."""
+    out = []
+    for members in subs:
+        outside = [x for x in range(group.order) if x not in members]
+        inside = sorted(members - {group.identity})
+        if inside:
+            out.append(members - {inside[-1]})
+        if outside:
+            out.append(members | {outside[0]})
+        if inside and outside:
+            out.append((members - {rng.choice(inside)}) | {rng.choice(outside)})
+    sizes = [d for d in range(2, group.order) if group.order % d == 0]
+    others = range(1, group.order)
+    for _ in range(40):
+        out.append(frozenset([group.identity, *rng.sample(others, rng.choice(sizes) - 1)]))
+    return [s for s in out if group.order % len(s) == 0]
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "g108"])
+def test_verify_raises_exactly_when_the_pairwise_definition_fails(name, s4):
+    group = _named_group(name, s4)
+    subs = _subgroups_of(group)
+    candidates = subs + _perturbed_sets(group, subs, random.Random(11))
+    rejected = 0
+    for members in candidates:
+        sub = Subgroup(group, members)  # fresh, so its generators are chosen anew
+        closed = _pairwise_subgroup(group, members)
+        if closed:
+            sub.verify()
+        else:
+            rejected += 1
+            with pytest.raises(DomainError):
+                sub.verify()
+    assert rejected >= 40  # the random sets and perturbations are mostly not subgroups
+
+
+def test_verify_makes_one_product_per_member_and_generator(monkeypatch):
+    group = symmetric_group(5)
+    for sub in (group.full_subgroup(), find_sylow(group, 2), group.centralizer(7)):
+        gens = sub.generating_indices()
+        calls = 0
+        mul = PermutationOps.mul
+
+        def counted(self, a, b):
+            nonlocal calls
+            calls += 1
+            return mul(self, a, b)
+
+        monkeypatch.setattr(PermutationOps, "mul", counted)
+        sub.verify()
+        monkeypatch.undo()
+        assert calls == sub.order * len(gens)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "g108", "sl23_matrix"])
+def test_minimal_generating_indices_match_the_greedy_from_scratch(name, s4):
+    group = _named_group(name, s4)
+    rng = random.Random(5)
+    sets = _subgroups_of(group) + [frozenset(range(group.order))]
+    sets += [rng.sample(range(group.order), rng.randrange(1, 6)) for _ in range(30)]
+    for indices in sets:
+        assert group.minimal_generating_indices(indices) == _greedy_from_scratch(group, indices)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "g108", "sl23_matrix"])
+def test_subgroup_closure_matches_the_index_table_closure(name, s4, monkeypatch):
+    group = _named_group(name, s4)
+    rng = random.Random(3)
+    seeds = [rng.sample(range(group.order), rng.randrange(1, 4)) for _ in range(40)]
+    expected = [index_closure(group, seed) for seed in seeds]
+    # the closure itself multiplies keys, never through the index table
+    monkeypatch.setattr(type(group), "mul", None)
+    assert [group.subgroup_closure(seed).member_set() for seed in seeds] == expected

@@ -10,14 +10,14 @@ from sylowcover import (
     find_sylow,
     minimal_cover,
 )
+from sylowcover import sylow
+from sylowcover.cli import main
 from sylowcover.groups import FiniteGroup
 from sylowcover.perm import PermutationOps
 from sylowcover.sylow import EXACT_COVER_NU_BOUND
 
-# FiniteGroup.mul calls made by brute decides of A_7 at p = 2, 3, 5, 7: 357
-# with the hot loops on element keys (39845 when every product went through
-# the index table)
-A7_BRUTE_INDEX_MULS = 357
+from conftest import FIXTURE_DIR
+
 
 
 def test_find_sylow_s4(s4):
@@ -171,4 +171,42 @@ def test_brute_decide_scans_once_and_stays_on_keys(monkeypatch):
         # one p-element scan per (group, p), shared by find_sylow and the
         # union cross-check
         assert calls["scan"] == group.order, p
-    assert calls["mul"] <= 2 * A7_BRUTE_INDEX_MULS
+    # closures, generating sets and Subgroup.verify run on element keys too
+    # (357 index products while they did not, 39845 when every product did)
+    assert calls["mul"] == 0
+
+
+def test_auto_decide_and_cover_grow_each_sylow_once_on_keys(monkeypatch, capsys):
+    # one auto decide and one cover per p, each loading its own g108: no
+    # product goes through the index table, no caller re-closes a subgroup,
+    # and find_sylow grows P once per (group, p) although criteria, O_p and
+    # the Sylow orbit all ask for it
+    grown = []
+    mul_calls = closures = 0
+    mul, closure = FiniteGroup.mul, FiniteGroup.subgroup_closure
+
+    class CountedClosure(sylow.KeyClosure):
+        def __init__(self, group):
+            grown.append(group)
+            super().__init__(group)
+
+    def counted_mul(self, i, j):
+        nonlocal mul_calls
+        mul_calls += 1
+        return mul(self, i, j)
+
+    def counted_closure(self, seed):
+        nonlocal closures
+        closures += 1
+        return closure(self, seed)
+
+    monkeypatch.setattr(sylow, "KeyClosure", CountedClosure)
+    monkeypatch.setattr(FiniteGroup, "mul", counted_mul)
+    monkeypatch.setattr(FiniteGroup, "subgroup_closure", counted_closure)
+    fixture = str(FIXTURE_DIR / "g108.json")
+    for p in ("2", "3"):
+        for argv in (["decide"], ["cover", "--mode", "exact"]):
+            assert main([*argv, "--fixture", fixture, "--p", p, "--format", "json"]) == 0
+    capsys.readouterr()
+    assert mul_calls == closures == 0
+    assert len(grown) == 4 and len({id(group) for group in grown}) == 4
