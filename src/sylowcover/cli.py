@@ -28,7 +28,7 @@ from .fixtures import FAMILIES, FAMILY_NAMES, build_family, family_params, load_
 from .groups import FiniteGroup
 from .linear import theorem_51_decide, theorem_D_decide
 from .report import DecisionReport
-from .symmetric import theorem_B_decide, unique_sylow_witness
+from .symmetric import theorem_B_decide, theorem_C_decide, unique_sylow_witness
 from .sylow import decide_redundant_bruteforce, enumerate_sylows, minimal_cover
 
 EXIT_OK = 0
@@ -120,7 +120,8 @@ def cmd_decide(args) -> tuple[int, str]:
             verdict, outcomes = run_structural_criteria(group, args.p)
         if verdict is not None:
             decisive = outcomes[-1]
-            system = group._sylow_cache.get(args.p)
+            # small-nu and ti-sylow build the Sylow system and report its nu_p;
+            # cyclic-quotient builds none, and the group is fresh, so nu_p is null
             report = DecisionReport(
                 group=group.describe(),
                 order=group.order,
@@ -128,7 +129,7 @@ def cmd_decide(args) -> tuple[int, str]:
                 verdict=verdict,
                 method=f"criterion:{decisive.name}",
                 witness=decisive.evidence.get("witness") if verdict == "not-redundant" else None,
-                nu_p=system.nu if system is not None else None,
+                nu_p=decisive.evidence.get("nu_p"),
                 criteria=outcomes,
                 elapsed_ms=0.0,
             )
@@ -183,8 +184,6 @@ def _verify_case(name: str, params: dict, p: int, budget: Optional[int]) -> dict
     row["nu_p"] = brute.nu_p
     row["agree"] = row["fast"] is None or row["fast"] == brute.verdict
     if name == "Sn" and p == 2:
-        from .symmetric import theorem_C_decide
-
         system = enumerate_sylows(group, p)
         predicted = {
             x for x in system.p_elements
@@ -298,22 +297,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.threads is not None and args.threads < 1:
         parser.exit(EXIT_BAD_INPUT, "error: --threads must be at least 1\n")
     try:
+        if args.command != "verify" and args.p is None:
+            raise DomainError(f"{args.command} requires --p")
         if args.command == "decide":
-            if args.p is None:
-                raise DomainError("decide requires --p")
             code, output = cmd_decide(args)
         elif args.command == "cover":
-            if args.p is None:
-                raise DomainError("cover requires --p")
             code, output = cmd_cover(args)
         else:
             code, output = cmd_verify(args)
     except ClosureBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET
-    except (DomainError, HypothesisFailed) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
     except SylowCoverError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT

@@ -14,18 +14,17 @@ from .errors import DomainError, HypothesisFailed
 from .groups import FiniteGroup, Subgroup
 from .numtheory import p_part
 from .report import CriterionOutcome
-from .sylow import SylowSystem, enumerate_sylows, find_sylow
+from .sylow import enumerate_sylows, find_sylow
 
 
-def class_size_test(group: FiniteGroup, p: int, x: int, system: Optional[SylowSystem] = None) -> CriterionOutcome:
+def class_size_test(group: FiniteGroup, p: int, x: int) -> CriterionOutcome:
     """Compare |x^G| with |x^G n P| * nu_p for a p-element x.
 
     The product always bounds the class size from above, with equality exactly
     when x lies in a unique Sylow p-subgroup; both facts are checked here, the
     equality side against the membership multiplicity of x.
     """
-    if system is None:
-        system = enumerate_sylows(group, p)
+    system = enumerate_sylows(group, p)
     if x not in system.multiplicity:
         raise HypothesisFailed(f"element {x} is not a p-element")
     cls = group.conjugacy_class(x)
@@ -49,10 +48,9 @@ def class_size_test(group: FiniteGroup, p: int, x: int, system: Optional[SylowSy
     return CriterionOutcome("class-size", True, "inconclusive", evidence)
 
 
-def counting_bound_test(group: FiniteGroup, p: int, system: Optional[SylowSystem] = None) -> CriterionOutcome:
+def counting_bound_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     """If there are fewer p-elements than Sylow p-subgroups, redundancy follows."""
-    if system is None:
-        system = enumerate_sylows(group, p)
+    system = enumerate_sylows(group, p)
     size = len(system.p_elements)
     evidence = {"p_element_count": size, "nu_p": system.nu}
     if size < system.nu:
@@ -60,7 +58,7 @@ def counting_bound_test(group: FiniteGroup, p: int, system: Optional[SylowSystem
     return CriterionOutcome("counting-bound", True, "inconclusive", evidence)
 
 
-def navarro_test(group: FiniteGroup, p: int, x: Optional[int] = None, system: Optional[SylowSystem] = None) -> CriterionOutcome:
+def navarro_test(group: FiniteGroup, p: int, x: Optional[int] = None) -> CriterionOutcome:
     """Centralizer containment: a unique-Sylow element has C_G(x) <= N_G(P).
 
     With an element given, reports whether the containment fails (which rules
@@ -68,17 +66,16 @@ def navarro_test(group: FiniteGroup, p: int, x: Optional[int] = None, system: Op
     every conjugacy class of p-elements; if containment fails for all of
     them, no unique-Sylow element exists and the group is redundant.
     """
-    if system is None:
-        system = enumerate_sylows(group, p)
-    normalizer_cache: dict[int, frozenset[int]] = {}
+    system = enumerate_sylows(group, p)
+    normalizer_cache: dict[Subgroup, frozenset[int]] = {}
 
     def contained(y: int) -> bool:
-        sylow_idx = system.sylow_index_containing(y)
-        members = normalizer_cache.get(sylow_idx)
+        sylow = system.sylow_containing(y)
+        members = normalizer_cache.get(sylow)
         if members is None:
-            members = frozenset(group.normalizer(system.sylows[sylow_idx]).indices)
-            normalizer_cache[sylow_idx] = members
-        return all(c in members for c in group.centralizer(y).indices)
+            members = group.normalizer(sylow).member_set()
+            normalizer_cache[sylow] = members
+        return group.centralizer(y).member_set() <= members
 
     if x is not None:
         if x not in system.multiplicity:
@@ -89,11 +86,9 @@ def navarro_test(group: FiniteGroup, p: int, x: Optional[int] = None, system: Op
             "containment_holds": holds,
             "multiplicity": system.multiplicity[x],
         }
-        if not holds:
-            # contrapositive: x certainly lies in more than one Sylow subgroup
-            if system.multiplicity[x] == 1:
-                raise RuntimeError("containment failed for a unique-Sylow element")
-            return CriterionOutcome("navarro", True, "inconclusive", evidence)
+        # contrapositive: when containment fails, x lies in more than one Sylow subgroup
+        if not holds and system.multiplicity[x] == 1:
+            raise RuntimeError("containment failed for a unique-Sylow element")
         return CriterionOutcome("navarro", True, "inconclusive", evidence)
 
     seen: set[int] = set()
@@ -151,15 +146,14 @@ def cyclic_quotient_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     return CriterionOutcome("cyclic-quotient", True, "inconclusive", evidence)
 
 
-def ti_test(group: FiniteGroup, p: int, system: Optional[SylowSystem] = None) -> CriterionOutcome:
+def ti_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     """Trivially intersecting Sylow subgroups: every nonidentity p-element is
     then a unique-Sylow witness.
 
     Since the subgroups are mutually conjugate it suffices to intersect the
     first against all others.
     """
-    if system is None:
-        system = enumerate_sylows(group, p)
+    system = enumerate_sylows(group, p)
     base = system.sylows[0].member_set()
     worst = 1
     for other in system.sylows[1:]:
@@ -234,11 +228,10 @@ def pnilpotent_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     return CriterionOutcome("p-nilpotent", True, "implies-not-redundant", evidence)
 
 
-def p_element_count_bound(group: FiniteGroup, p: int, system: Optional[SylowSystem] = None) -> CriterionOutcome:
+def p_element_count_bound(group: FiniteGroup, p: int) -> CriterionOutcome:
     """With non-normal Sylow p-subgroups of order p^n there are at least
     p^(n+1) p-elements; the two numbers are reported and the bound enforced."""
-    if system is None:
-        system = enumerate_sylows(group, p)
+    system = enumerate_sylows(group, p)
     if system.nu == 1:
         raise HypothesisFailed("the Sylow p-subgroup is normal")
     required = system.sylow_order * p
@@ -251,11 +244,10 @@ def p_element_count_bound(group: FiniteGroup, p: int, system: Optional[SylowSyst
     )
 
 
-def small_nu_test(group: FiniteGroup, p: int, system: Optional[SylowSystem] = None) -> CriterionOutcome:
+def small_nu_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     """At most p^2 Sylow p-subgroups (and more than one) forces |G : O_p(G)|
     to have p-part exactly p, and hence a cyclic Sylow quotient: not redundant."""
-    if system is None:
-        system = enumerate_sylows(group, p)
+    system = enumerate_sylows(group, p)
     if system.nu == 1:
         raise HypothesisFailed("the Sylow p-subgroup is normal")
     if system.nu > p * p:
@@ -272,7 +264,11 @@ def small_nu_test(group: FiniteGroup, p: int, system: Optional[SylowSystem] = No
     )
 
 
-STRUCTURAL_CRITERIA = ("cyclic-quotient", "small-nu", "ti-sylow")
+STRUCTURAL_CRITERIA = (
+    ("cyclic-quotient", cyclic_quotient_test),
+    ("small-nu", small_nu_test),
+    ("ti-sylow", ti_test),
+)
 
 
 def run_structural_criteria(group: FiniteGroup, p: int) -> tuple[Optional[str], list[CriterionOutcome]]:
@@ -282,14 +278,9 @@ def run_structural_criteria(group: FiniteGroup, p: int) -> tuple[Optional[str], 
     inconclusive.
     """
     outcomes: list[CriterionOutcome] = []
-    runners = {
-        "cyclic-quotient": lambda: cyclic_quotient_test(group, p),
-        "small-nu": lambda: small_nu_test(group, p),
-        "ti-sylow": lambda: ti_test(group, p),
-    }
-    for name in STRUCTURAL_CRITERIA:
+    for name, test in STRUCTURAL_CRITERIA:
         try:
-            outcome = runners[name]()
+            outcome = test(group, p)
         except HypothesisFailed as exc:
             outcomes.append(CriterionOutcome(name, False, "inconclusive", {"reason": str(exc)}))
             continue

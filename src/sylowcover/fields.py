@@ -10,7 +10,7 @@ up front; group enumeration then runs on table lookups only.
 
 from __future__ import annotations
 
-from .errors import DomainError, NotPrimePower
+from .errors import DomainError
 from .numtheory import prime_power_decomposition
 
 MAX_FIELD_SIZE = 256  # matrix entries are packed one byte each

@@ -36,9 +36,7 @@ def symmetric_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
         return enumerate_group([Permutation.identity(1)], name="S_1", cap=cap)
     gens = [Permutation.from_cycles(n, [(1, 2)]), Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
     group = enumerate_group(gens, name=f"S_{n}", cap=cap)
-    expected = 1
-    for i in range(2, n + 1):
-        expected *= i
+    expected = factorial(n)
     if group.order != expected:
         raise RuntimeError(f"S_{n} enumerated to order {group.order}, expected {expected}")
     return group
@@ -53,11 +51,9 @@ def alternating_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
         cycle = tuple(range(2, n + 1))
     gens = [Permutation.from_cycles(n, [(1, 2, 3)]), Permutation.from_cycles(n, [cycle])]
     group = enumerate_group(gens, name=f"A_{n}", cap=cap)
-    expected = 1
-    for i in range(2, n + 1):
-        expected *= i
-    if group.order != expected // 2:
-        raise RuntimeError(f"A_{n} enumerated to order {group.order}, expected {expected // 2}")
+    expected = factorial(n) // 2
+    if group.order != expected:
+        raise RuntimeError(f"A_{n} enumerated to order {group.order}, expected {expected}")
     return group
 
 

@@ -16,7 +16,7 @@ import os
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
-from .numtheory import factorization, p_part
+from .numtheory import factorization, is_prime, p_part
 
 DEFAULT_ENUMERATION_CAP = 2_500_000
 BUDGET_ENV_VAR = "SYLOWCOVER_BUDGET"
@@ -45,7 +45,7 @@ class Subgroup:
 
     __slots__ = ("group", "indices", "_set", "_generators")
 
-    def __init__(self, group: "FiniteGroup", indices: Iterable[int], verified: bool = False):
+    def __init__(self, group: "FiniteGroup", indices: Iterable[int]):
         self.group = group
         # frozenset() of a frozenset is the same object, so a caller that
         # already holds the member set hands it over without a copy
@@ -58,8 +58,6 @@ class Subgroup:
             raise DomainError(
                 f"index-set size {len(self.indices)} does not divide the group order {group.order}"
             )
-        if verified:
-            self.verify()
 
     @property
     def order(self) -> int:
@@ -319,9 +317,6 @@ class FiniteGroup:
     def _p_element_test(self):
         return getattr(self.ops, "key_is_p_element", None) or self._key_is_p_element
 
-    def is_p_element(self, i: int, p: int) -> bool:
-        return self._p_element_test()(self._keys[i], p)
-
     def p_elements(self, p: int) -> list[int]:
         """Indices of all elements of p-power order, identity included, ascending.
 
@@ -329,7 +324,7 @@ class FiniteGroup:
         """
         cached = self._p_elements.get(p)
         if cached is None:
-            if not _is_prime(p):
+            if not is_prime(p):
                 raise DomainError(f"p must be prime, got {p}")
             test = self._p_element_test()
             cached = [i for i, key in enumerate(self._keys) if test(key, p)]
@@ -338,7 +333,7 @@ class FiniteGroup:
 
     def p_prime_elements(self, p: int) -> list[int]:
         """Indices of all elements of order coprime to p, ascending."""
-        if not _is_prime(p):
+        if not is_prime(p):
             raise DomainError(f"p must be prime, got {p}")
         coprime_part = self.order // p_part(self.order, p)
         return [i for i in range(self.order) if self.power(i, coprime_part) == self.identity]
@@ -481,12 +476,6 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.describe()}, order={self.order})"
-
-
-def _is_prime(p: int) -> bool:
-    from .numtheory import is_prime
-
-    return is_prime(p)
 
 
 def enumerate_group(generators: Sequence[object], name: Optional[str] = None, cap: Optional[int] = None) -> FiniteGroup:

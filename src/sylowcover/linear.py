@@ -18,7 +18,7 @@ from typing import Any, Optional
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
 from .groups import FiniteGroup, KeyClosure, Subgroup, enumerate_group, resolve_cap
-from .numtheory import is_prime, p_part, prime_power_decomposition
+from .numtheory import is_prime, prime_power_decomposition
 from .perm import Permutation
 
 

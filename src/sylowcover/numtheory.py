@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import NotPrimePower
+from .errors import DomainError, NotPrimePower
 
 
 def is_prime(n: int) -> bool:
@@ -52,7 +52,9 @@ def factorization(n: int) -> list[tuple[int, int]]:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
+    """Largest power of p dividing n, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise DomainError(f"p-part needs n >= 1 and p >= 2, got n = {n}, p = {p}")
     part = 1
     while n % p == 0:
         n //= p

@@ -16,22 +16,7 @@ from .errors import DomainError
 
 MAX_DEGREE = 255
 
-# translate() wants a full 256-byte table; pad tables per degree, lazily.
-_PAD: dict[int, bytes] = {}
 _RANGE256 = bytes(range(256))
-
-
-def _pad(degree: int) -> bytes:
-    suffix = _PAD.get(degree)
-    if suffix is None:
-        suffix = _RANGE256[degree:]
-        _PAD[degree] = suffix
-    return suffix
-
-
-def compose_keys(a: bytes, b: bytes, degree: int) -> bytes:
-    """Key of the composite mapping i -> a[b[i]] (apply b first, then a)."""
-    return b.translate(a + _pad(degree))
 
 
 def invert_key(a: bytes) -> bytes:
@@ -117,7 +102,7 @@ class Permutation:
         """(self * other)(i) = self(other(i))."""
         if self.degree != other.degree:
             raise DomainError("cannot compose permutations of different degrees")
-        return Permutation._from_key(compose_keys(self.key, other.key, self.degree))
+        return Permutation._from_key(self.group_ops().mul(self.key, other.key))
 
     def inverse(self) -> "Permutation":
         return Permutation._from_key(invert_key(self.key))
@@ -177,7 +162,8 @@ class PermutationOps:
 
     def __init__(self, degree: int):
         self.degree = degree
-        self._pad = _pad(degree)
+        # translate() wants a full 256-byte table: a key plus this suffix
+        self._pad = _RANGE256[degree:]
         self._identity = _RANGE256[:degree]
         # p -> largest power of p that is <= degree (1 when p > degree)
         self._cycle_bound: dict[int, int] = {}

@@ -44,15 +44,12 @@ class SylowSystem:
         """All p-elements lying in exactly one Sylow p-subgroup, ascending."""
         return sorted(x for x, count in self.multiplicity.items() if count == 1)
 
-    def sylow_index_containing(self, x: int) -> int:
-        """Position of the first listed Sylow subgroup containing x."""
-        for i, sub in enumerate(self.sylows):
-            if x in sub:
-                return i
-        raise DomainError(f"element {x} is not a p-element of this system")
-
     def sylow_containing(self, x: int) -> Subgroup:
-        return self.sylows[self.sylow_index_containing(x)]
+        """The first listed Sylow subgroup containing x."""
+        for sub in self.sylows:
+            if x in sub:
+                return sub
+        raise DomainError(f"element {x} is not a p-element of this system")
 
 
 @dataclass
@@ -168,25 +165,13 @@ def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
     system = enumerate_sylows(group, p)
     witnesses = system.unique_witnesses()
     elapsed = (time.perf_counter() - start) * 1000.0
-    if witnesses:
-        return DecisionReport(
-            group=group.describe(),
-            order=group.order,
-            p=p,
-            verdict="not-redundant",
-            method="brute-force",
-            witness=group.render(witnesses[0]),
-            nu_p=system.nu,
-            criteria=[],
-            elapsed_ms=elapsed,
-        )
     return DecisionReport(
         group=group.describe(),
         order=group.order,
         p=p,
-        verdict="redundant",
+        verdict="not-redundant" if witnesses else "redundant",
         method="brute-force",
-        witness=None,
+        witness=group.render(witnesses[0]) if witnesses else None,
         nu_p=system.nu,
         criteria=[],
         elapsed_ms=elapsed,
@@ -207,19 +192,14 @@ def _cover_masks(system: SylowSystem) -> tuple[list[int], int]:
 
 def _greedy_cover(masks: list[int], full: int) -> list[int]:
     chosen: list[int] = []
-    covered = 0
-    while covered != full:
-        best_idx = -1
-        best_gain = 0
-        for i, m in enumerate(masks):
-            gain = (m | covered).bit_count() - covered.bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_idx = i
-        if best_idx < 0:
+    uncovered = full
+    while uncovered:
+        # max keeps the first of equal gains: ties go to the lowest index
+        best = max(range(len(masks)), key=lambda i: (masks[i] & uncovered).bit_count())
+        if not masks[best] & uncovered:
             raise RuntimeError("greedy cover stalled; universe not covered by the system")
-        chosen.append(best_idx)
-        covered |= masks[best_idx]
+        chosen.append(best)
+        uncovered &= ~masks[best]
     return chosen
 
 

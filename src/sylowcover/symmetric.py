@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 
 from .errors import DomainError
 from .groups import FiniteGroup, Subgroup
-from .numtheory import is_prime
+from .numtheory import is_prime, p_part
 from .perm import Permutation
 
 
@@ -103,10 +103,7 @@ def theorem_C_decide(cycle_type: Iterable[int]) -> bool:
     """
     parts = tuple(cycle_type)
     for part in parts:
-        reduced = part
-        while reduced % 2 == 0:
-            reduced //= 2
-        if reduced != 1:
+        if p_part(part, 2) != part:
             raise DomainError(f"cycle length {part} is not a power of 2")
     fixed = sum(1 for part in parts if part == 1)
     big = [part for part in parts if part > 1]
@@ -196,10 +193,7 @@ class BlockStructure:
         sizes = {}
         for block in self.blocks:
             size = len(block)
-            reduced = size
-            while reduced % p == 0:
-                reduced //= p
-            if reduced != 1 or size < p:
+            if size < p or p_part(size, p) != size:
                 raise DomainError(f"block size {size} is not a power of p >= p")
             sizes.setdefault(size, []).append(set(block))
         for block in self.blocks:
@@ -293,8 +287,6 @@ def structure_stabilizer(structure: BlockStructure, group: FiniteGroup) -> Subgr
     The group argument must be the enumerated S_n on matching degree; the
     result is checked to have order equal to the p-part of n!.
     """
-    from .numtheory import p_part
-
     degree = getattr(group.ops, "degree", None)
     if degree != structure.n:
         raise DomainError("group degree does not match the block structure")
@@ -318,9 +310,6 @@ def preserved_structure_count(x: Permutation, p: int) -> int:
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
     for length in x.cycle_type():
-        reduced = length
-        while reduced % p == 0:
-            reduced //= p
-        if reduced != 1:
+        if p_part(length, p) != length:
             raise DomainError("x is not a p-element")
     return sum(1 for structure in all_block_structures(x.degree, p) if structure.is_preserved_by(x))

@@ -212,13 +212,13 @@ def test_acceptance_8_criteria_soundness_sweep(g108, frobenius21, gl34, gl24, a4
                 system = enumerate_sylows(group, p)
                 brute = decide_redundant_bruteforce(group, p).verdict
                 outcomes = [
-                    counting_bound_test(group, p, system),
+                    counting_bound_test(group, p),
                     cyclic_quotient_test(group, p),
-                    ti_test(group, p, system),
-                    navarro_test(group, p, system=system),
+                    ti_test(group, p),
+                    navarro_test(group, p),
                 ]
                 sample = system.p_elements[1] if len(system.p_elements) > 1 else system.p_elements[0]
-                outcomes.append(class_size_test(group, p, sample, system))
+                outcomes.append(class_size_test(group, p, sample))
                 for test in (pnilpotent_test, small_nu_test, p_element_count_bound):
                     try:
                         outcomes.append(test(group, p))

@@ -58,6 +58,14 @@ def test_decide_auto_uses_criteria_for_fixture(capsys):
     assert report.witness is not None
 
 
+def test_criterion_reports_carry_nu_p_when_the_criterion_built_the_system(capsys):
+    # ti-sylow reads the Sylow system; cyclic-quotient decides without one
+    report = decide_json(capsys, "--fixture", str(FIXTURES / "sl28.json"), "--p", "2")
+    assert (report.method, report.nu_p) == ("criterion:ti-sylow", 9)
+    report = decide_json(capsys, "--fixture", str(FIXTURES / "g108.json"), "--p", "3")
+    assert (report.method, report.nu_p) == ("criterion:cyclic-quotient", None)
+
+
 def test_decide_matrix_fixture(capsys):
     report = decide_json(capsys, "--fixture", str(FIXTURES / "sl23_matrix.json"), "--p", "2")
     assert report.order == 24

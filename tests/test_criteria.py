@@ -33,7 +33,7 @@ def test_class_size_a8_counterexample(a8):
     # only the stronger |x^G n P| version detects uniqueness
     x = a8_double_four_cycle(a8)
     system = enumerate_sylows(a8, 2)
-    outcome = class_size_test(a8, 2, x, system)
+    outcome = class_size_test(a8, 2, x)
     ev = outcome.evidence
     assert ev["class_size"] == 1260
     assert ev["nu_p"] == 315

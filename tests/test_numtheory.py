@@ -1,6 +1,6 @@
 import pytest
 
-from sylowcover.errors import NotPrimePower
+from sylowcover.errors import DomainError, NotPrimePower
 from sylowcover.numtheory import (
     factorization,
     is_prime,
@@ -34,6 +34,14 @@ def test_p_part():
     assert p_part(40320, 2) == 128
     assert p_part(40320, 3) == 9
     assert p_part(35, 2) == 1
+
+
+@pytest.mark.parametrize("n, p", [(0, 2), (-8, 2), (12, 1), (12, 0)])
+def test_p_part_domain(n, p):
+    # n = 0 and p = 1 used to loop forever, p = 0 divided by zero, and a
+    # negative n returned a power of p
+    with pytest.raises(DomainError):
+        p_part(n, p)
 
 
 def test_prime_power_decomposition():

@@ -1,4 +1,8 @@
+import functools
+import operator
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sylowcover import (
     DomainError,
@@ -210,3 +214,48 @@ def test_auto_decide_and_cover_grow_each_sylow_once_on_keys(monkeypatch, capsys)
     capsys.readouterr()
     assert mul_calls == closures == 0
     assert len(grown) == 4 and len({id(group) for group in grown}) == 4
+
+
+def _reference_greedy_cover(masks, full):
+    """Reference greedy loop: the union with every mask, every round; first best gain wins."""
+    chosen = []
+    covered = 0
+    while covered != full:
+        best_idx = -1
+        best_gain = 0
+        for i, m in enumerate(masks):
+            gain = (m | covered).bit_count() - covered.bit_count()
+            if gain > best_gain:
+                best_gain = gain
+                best_idx = i
+        if best_idx < 0:
+            raise RuntimeError("greedy cover stalled")
+        chosen.append(best_idx)
+        covered |= masks[best_idx]
+    return chosen
+
+
+@pytest.mark.parametrize("name, p", [
+    ("s4", 2), ("s4", 3), ("a5", 2), ("a5", 3), ("a5", 5),
+    ("g108", 2), ("g108", 3), ("s8", 2), ("s8", 7),
+])
+def test_greedy_cover_matches_the_reference_loop(request, name, p):
+    group = alternating_group(5) if name == "a5" else request.getfixturevalue(name)
+    masks, full = sylow._cover_masks(enumerate_sylows(group, p))
+    assert sylow._greedy_cover(masks, full) == _reference_greedy_cover(masks, full)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**8 - 1), min_size=1, max_size=10), st.data())
+def test_greedy_cover_matches_the_reference_on_tied_masks(base, data):
+    # repeated masks over an 8-point universe make equal gains common, and an
+    # extra point outside every mask makes the cover stall
+    masks = data.draw(st.permutations(base + data.draw(st.lists(st.sampled_from(base), max_size=6))))
+    full = functools.reduce(operator.or_, masks) | data.draw(st.sampled_from([0, 1 << 8]))
+    try:
+        expected = _reference_greedy_cover(masks, full)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            sylow._greedy_cover(masks, full)
+    else:
+        assert sylow._greedy_cover(masks, full) == expected

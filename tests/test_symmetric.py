@@ -120,6 +120,16 @@ def test_theorem_B_domain():
         theorem_B_decide(9, 2, "Dn")
 
 
+def test_zero_lengths_and_empty_blocks_are_refused():
+    # each of these used to loop forever stripping factors of p from 0 or by p = 1
+    with pytest.raises(DomainError):
+        theorem_C_decide((0,))
+    with pytest.raises(DomainError):
+        BlockStructure(4, 2, [[]])
+    with pytest.raises(DomainError):
+        BlockStructure(4, 1, [[1]])
+
+
 def test_base_block_structures():
     assert base_block_structure(4, 2).blocks == ((1, 2, 3, 4), (1, 2), (3, 4))
     assert base_block_structure(6, 2).blocks == ((1, 2, 3, 4), (1, 2), (3, 4), (5, 6))
