@@ -2,8 +2,8 @@
 
 decide  resolves one group and prints a DecisionReport.  In auto mode the
         closed-form family deciders run first, then the cheap structural
-        criteria (cyclic quotient, small Sylow count, trivial intersections),
-        and brute force settles whatever remains.
+        criteria (cyclic quotient, then trivial intersections), and brute
+        force settles whatever remains.
 cover   searches for a small collection of Sylow p-subgroups covering the
         p-elements (greedy or exact branch-and-bound).
 verify  sweeps a parameter range and cross-checks the closed-form deciders
@@ -18,16 +18,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
-from typing import Optional
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 from .criteria import run_structural_criteria
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed, SylowCoverError
 from .fixtures import FAMILIES, FAMILY_NAMES, build_family, family_params, load_fixture
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _check_cap
 from .linear import theorem_51_decide, theorem_D_decide
-from .report import DecisionReport
+from .report import CriterionOutcome, DecisionReport
 from .symmetric import theorem_B_decide, theorem_C_decide, unique_sylow_witness
 from .sylow import decide_redundant_bruteforce, enumerate_sylows, minimal_cover
 
@@ -37,53 +39,75 @@ EXIT_BAD_INPUT = 2
 EXIT_BUDGET = 3
 
 
-def family_fast_decision(name: str, params: dict, p: int) -> Optional[DecisionReport]:
-    """Closed-form decision for a family input, or None when none applies.
+class Answer(NamedTuple):
+    """What one answer source settles; the fields of a DecisionReport it fills."""
 
-    ``params`` must already be checked by ``family_params``.
+    verdict: str
+    method: str
+    witness: Optional[str] = None
+    nu_p: Optional[int] = None
+
+
+def _render_type(parts: tuple[int, ...]) -> str:
+    """1-based cycle string of the element of this type on consecutive points."""
+    starts = accumulate(parts, initial=1)
+    cycles = [range(start, start + part) for start, part in zip(starts, parts) if part > 1]
+    return "".join("(" + ",".join(map(str, cycle)) + ")" for cycle in cycles) or "()"
+
+
+def family_fast_decision(name: str, params: dict, p: int, cap: Optional[int] = None) -> Optional[Answer]:
+    """Closed-form answer for a family input, or None when none applies.
+
+    ``params`` must already be checked by ``family_params``.  An S_n or A_n
+    answer renders up to n points and its report prints |G| in full, so an
+    n past the enumeration cap, or a |G| too long to print, is refused first.
     """
-    start = time.perf_counter()
-    family = FAMILIES[name]
-
-    def report(verdict: str, method: str, witness: Optional[str]) -> DecisionReport:
-        return DecisionReport(
-            group=family.describe(params),
-            order=family.order(**params),
-            p=p,
-            verdict=verdict,
-            method=method,
-            witness=witness,
-            nu_p=None,
-            criteria=[],
-            elapsed_ms=(time.perf_counter() - start) * 1000.0,
-        )
-
-    if name == "Sn":
+    if name in ("Sn", "An"):
         n = params["n"]
-        if n < 2:
-            return None
-        witness = unique_sylow_witness(n, p, "Sn")
-        return report("not-redundant", "theorem-C-witness", witness.cycle_string())
-    if name == "An":
-        n = params["n"]
+        _check_cap(n, cap)
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        log10_order = math.lgamma(n + 1) / math.log(10) - (math.log10(2) if name == "An" else 0.0)
+        if digits and log10_order >= digits:
+            raise DomainError(f"|{FAMILIES[name].describe(params)}| has more than {digits} digits to print")
+        if name == "Sn":
+            if n < 2:
+                return None
+            return Answer("not-redundant", "theorem-C-witness", _render_type(unique_sylow_witness(n, p, "Sn")))
         try:
             redundant = theorem_B_decide(n, p, "An")
         except DomainError:
             return None
         if redundant:
-            return report("redundant", "theorem-B", None)
+            return Answer("redundant", "theorem-B")
         witness = unique_sylow_witness(n, p, "An")
-        return report("not-redundant", "theorem-B", witness.cycle_string() if witness else None)
+        return Answer("not-redundant", "theorem-B", _render_type(witness) if witness else None)
     if name in ("SL2", "PSL2"):
-        verdict = theorem_D_decide(name, params["q"], p)
-        return report("redundant" if verdict.redundant else "not-redundant", "theorem-D", None)
-    if name == "GL":
+        verdict, method = theorem_D_decide(name, params["q"], p), "theorem-D"
+    else:
         try:
-            verdict = theorem_51_decide(params["n"], params["q"], p)
+            verdict, method = theorem_51_decide(params["n"], params["q"], p), "theorem-5.1"
         except HypothesisFailed:
             return None
-        return report("redundant" if verdict.redundant else "not-redundant", "theorem-5.1", None)
-    return None
+    return Answer("redundant" if verdict.redundant else "not-redundant", method)
+
+
+def _criteria_answer(group: FiniteGroup, p: int) -> tuple[Optional[Answer], list[CriterionOutcome]]:
+    """The structural criteria's answer (None when all are inconclusive) and every outcome.
+
+    A deciding criterion's evidence holds its witness and, where it built the
+    Sylow system, nu_p: ti-sylow does, cyclic-quotient builds none.
+    """
+    verdict, outcomes = run_structural_criteria(group, p)
+    if verdict is None:
+        return None, outcomes
+    decisive = outcomes[-1]
+    witness, nu_p = decisive.evidence.get("witness"), decisive.evidence.get("nu_p")
+    return Answer(verdict, f"criterion:{decisive.name}", witness, nu_p), outcomes
+
+
+def _brute_answer(group: FiniteGroup, p: int) -> Answer:
+    report = decide_redundant_bruteforce(group, p)
+    return Answer(report.verdict, report.method, report.witness, report.nu_p)
 
 
 def _resolve_group_args(args) -> tuple[Optional[str], dict]:
@@ -105,39 +129,32 @@ def _build_group(args, family: Optional[str], params: dict) -> FiniteGroup:
 
 def cmd_decide(args) -> tuple[int, str]:
     family, params = _resolve_group_args(args)
-    report: Optional[DecisionReport] = None
+    # one clock for every answer source, group build included
+    start = time.perf_counter()
+    answer, outcomes = None, []
     if family is not None and args.method in ("auto", "fast"):
-        report = family_fast_decision(family, params, args.p)
-    if report is None:
-        if args.method == "fast":
-            raise DomainError(
-                "no closed-form decider applies to this input; rerun with --method auto or brute"
-            )
-        start = time.perf_counter()
+        answer = family_fast_decision(family, params, args.p, args.budget)
+    if answer is not None:
+        group_name, order = FAMILIES[family].describe(params), FAMILIES[family].order(**params)
+    elif args.method == "fast":
+        raise DomainError(
+            "no closed-form decider applies to this input; rerun with --method auto or brute"
+        )
+    else:
         group = _build_group(args, family, params)
-        verdict, outcomes = None, []
+        group_name, order = group.describe(), group.order
         if args.method == "auto":
-            verdict, outcomes = run_structural_criteria(group, args.p)
-        if verdict is not None:
-            decisive = outcomes[-1]
-            # small-nu and ti-sylow build the Sylow system and report its nu_p;
-            # cyclic-quotient builds none, and the group is fresh, so nu_p is null
-            report = DecisionReport(
-                group=group.describe(),
-                order=group.order,
-                p=args.p,
-                verdict=verdict,
-                method=f"criterion:{decisive.name}",
-                witness=decisive.evidence.get("witness") if verdict == "not-redundant" else None,
-                nu_p=decisive.evidence.get("nu_p"),
-                criteria=outcomes,
-                elapsed_ms=0.0,
-            )
-        else:
-            report = decide_redundant_bruteforce(group, args.p)
-            report.criteria = outcomes
-        # every path that builds a group is timed from before the build
-        report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+            answer, outcomes = _criteria_answer(group, args.p)
+        if answer is None:
+            answer = _brute_answer(group, args.p)
+    report = DecisionReport(
+        group=group_name,
+        order=order,
+        p=args.p,
+        **answer._asdict(),
+        criteria=outcomes,
+        elapsed_ms=(time.perf_counter() - start) * 1000.0,
+    )
     if args.format == "json":
         return EXIT_OK, report.to_json()
     return EXIT_OK, report.to_text()
@@ -176,10 +193,10 @@ def cmd_cover(args) -> tuple[int, str]:
 
 def _verify_case(name: str, params: dict, p: int, budget: Optional[int]) -> dict:
     row: dict = {"family": name, **params, "p": p}
-    fast = family_fast_decision(name, params, p)
+    fast = family_fast_decision(name, params, p, budget)
     row["fast"] = fast.verdict if fast is not None else None
     group = build_family(name, params, cap=budget)
-    brute = decide_redundant_bruteforce(group, p)
+    brute = _brute_answer(group, p)
     row["brute"] = brute.verdict
     row["nu_p"] = brute.nu_p
     row["agree"] = row["fast"] is None or row["fast"] == brute.verdict

@@ -264,9 +264,10 @@ def small_nu_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     )
 
 
+# small-nu is left out: nu_p <= p^2 forces |P : O_p| = p, so cyclic-quotient
+# has always decided first.  Neither test here raises HypothesisFailed.
 STRUCTURAL_CRITERIA = (
     ("cyclic-quotient", cyclic_quotient_test),
-    ("small-nu", small_nu_test),
     ("ti-sylow", ti_test),
 )
 
@@ -278,15 +279,9 @@ def run_structural_criteria(group: FiniteGroup, p: int) -> tuple[Optional[str], 
     inconclusive.
     """
     outcomes: list[CriterionOutcome] = []
-    for name, test in STRUCTURAL_CRITERIA:
-        try:
-            outcome = test(group, p)
-        except HypothesisFailed as exc:
-            outcomes.append(CriterionOutcome(name, False, "inconclusive", {"reason": str(exc)}))
-            continue
+    for _, test in STRUCTURAL_CRITERIA:
+        outcome = test(group, p)
         outcomes.append(outcome)
-        if outcome.verdict == "implies-not-redundant":
-            return "not-redundant", outcomes
-        if outcome.verdict == "implies-redundant":
-            return "redundant", outcomes
+        if outcome.verdict != "inconclusive":
+            return outcome.verdict.removeprefix("implies-"), outcomes
     return None, outcomes

@@ -95,7 +95,7 @@ class Field:
     """GF(q) with precomputed operation tables over integer-encoded elements."""
 
     def __init__(self, q: int):
-        # bound first: factoring a huge q by trial division would not finish
+        # bound first: entries are packed one byte each, and the tables hold q^2 entries
         if q > MAX_FIELD_SIZE:
             raise DomainError(f"field size {q} exceeds the supported bound {MAX_FIELD_SIZE}")
         p, k = prime_power_decomposition(q)

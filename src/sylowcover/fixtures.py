@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 from .errors import DomainError
 from .fields import make_field
-from .groups import FiniteGroup, enumerate_group
+from .groups import FiniteGroup, _check_cap, enumerate_group
 from .linear import SquareMatrix, build_group, gl_order, psl_order, sl_order
 from .perm import MAX_DEGREE, Permutation
 
@@ -32,11 +32,12 @@ from .perm import MAX_DEGREE, Permutation
 def symmetric_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
     if not 1 <= n <= MAX_DEGREE:
         raise DomainError(f"n must be in 1..{MAX_DEGREE}, got {n}")
+    expected = factorial(n)
+    _check_cap(expected, cap)
     if n == 1:
         return enumerate_group([Permutation.identity(1)], name="S_1", cap=cap)
     gens = [Permutation.from_cycles(n, [(1, 2)]), Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
     group = enumerate_group(gens, name=f"S_{n}", cap=cap)
-    expected = factorial(n)
     if group.order != expected:
         raise RuntimeError(f"S_{n} enumerated to order {group.order}, expected {expected}")
     return group
@@ -45,13 +46,14 @@ def symmetric_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
 def alternating_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
     if not 3 <= n <= MAX_DEGREE:
         raise DomainError(f"n must be in 3..{MAX_DEGREE}, got {n}")
+    expected = factorial(n) // 2
+    _check_cap(expected, cap)
     if n % 2 == 1:
         cycle = tuple(range(1, n + 1))
     else:
         cycle = tuple(range(2, n + 1))
     gens = [Permutation.from_cycles(n, [(1, 2, 3)]), Permutation.from_cycles(n, [cycle])]
     group = enumerate_group(gens, name=f"A_{n}", cap=cap)
-    expected = factorial(n) // 2
     if group.order != expected:
         raise RuntimeError(f"A_{n} enumerated to order {group.order}, expected {expected}")
     return group

@@ -40,6 +40,13 @@ def resolve_cap(explicit: Optional[int] = None) -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
+def _check_cap(order: int, cap: Optional[int] = None) -> None:
+    """Refuse a group of known order past the cap before enumerating it."""
+    limit = resolve_cap(cap)
+    if order > limit:
+        raise ClosureBudgetExceeded(limit)
+
+
 class Subgroup:
     """A subgroup of an enumerated group, stored as a sorted index set."""
 
@@ -314,9 +321,6 @@ class FiniteGroup:
         """Generic test for ops without one: key^(p-part of |G|) = 1."""
         return self.key_power(key, p_part(self.order, p)) == self._keys[self.identity]
 
-    def _p_element_test(self):
-        return getattr(self.ops, "key_is_p_element", None) or self._key_is_p_element
-
     def p_elements(self, p: int) -> list[int]:
         """Indices of all elements of p-power order, identity included, ascending.
 
@@ -326,7 +330,7 @@ class FiniteGroup:
         if cached is None:
             if not is_prime(p):
                 raise DomainError(f"p must be prime, got {p}")
-            test = self._p_element_test()
+            test = getattr(self.ops, "key_is_p_element", None) or self._key_is_p_element
             cached = [i for i, key in enumerate(self._keys) if test(key, p)]
             self._p_elements[p] = cached
         return cached
@@ -488,8 +492,8 @@ def enumerate_group(generators: Sequence[object], name: Optional[str] = None, ca
     if not generators:
         raise DomainError("generator list must be nonempty")
     ops = generators[0].group_ops()
-    for g in generators[1:]:
-        if not ops.same_shape(g.group_ops()):
-            raise DomainError("generators do not share a common degree/shape")
+    # ops objects are per-shape singletons, so one shape means one object
+    if any(g.group_ops() is not ops for g in generators[1:]):
+        raise DomainError("generators do not share a common degree/shape")
     keys = [ops.unwrap(g) for g in generators]
     return FiniteGroup(ops, keys, name=name, cap=cap)

@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
-from .groups import FiniteGroup, KeyClosure, Subgroup, enumerate_group, resolve_cap
+from .groups import FiniteGroup, KeyClosure, Subgroup, _check_cap, enumerate_group, resolve_cap
 from .numtheory import is_prime, prime_power_decomposition
 from .perm import Permutation
 
@@ -48,10 +48,6 @@ class SquareMatrix:
     def entries(self) -> tuple[int, ...]:
         return tuple(self.key)
 
-    def rows(self) -> list[list[int]]:
-        n = self.dim
-        return [list(self.key[i * n:(i + 1) * n]) for i in range(n)]
-
     @classmethod
     def identity(cls, field_: Field, dim: int) -> "SquareMatrix":
         entries = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]
@@ -59,7 +55,7 @@ class SquareMatrix:
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
         ops = self.group_ops()
-        if not ops.same_shape(other.group_ops()):
+        if other.group_ops() is not ops:
             raise DomainError("cannot multiply matrices of different shapes/fields")
         return SquareMatrix(self.field, None, _key=ops.mul(self.key, other.key))
 
@@ -67,7 +63,7 @@ class SquareMatrix:
         return SquareMatrix(self.field, None, _key=self.group_ops().inv(self.key))
 
     def det(self) -> int:
-        return _det_key(self.key, self.dim, self.field)
+        return _gauss_jordan(self.key, self.dim, self.field)[0]
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -95,24 +91,25 @@ def _flatten(entries) -> list[int]:
     return [int(e) for e in entries]
 
 
-def _det_key(key: bytes, n: int, f: Field) -> int:
-    rows = [list(key[i * n:(i + 1) * n]) for i in range(n)]
+def _gauss_jordan(key: bytes, n: int, f: Field) -> tuple[int, Optional[bytes]]:
+    """Determinant and inverse key (None when singular) by one Gauss-Jordan elimination."""
+    rows = [list(key[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     det = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot is None:
-            return 0
+            return 0, None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             det = f.neg(det)
         det = f.mul(det, rows[col][col])
         inv_p = f.inv(rows[col][col])
-        for r in range(col + 1, n):
-            factor = f.mul(rows[r][col], inv_p)
-            if factor:
-                for c in range(col, n):
-                    rows[r][c] = f.sub(rows[r][c], f.mul(factor, rows[col][c]))
-    return det
+        rows[col] = [f.mul(x, inv_p) for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], rows[col])]
+    return det, bytes(x for row in rows for x in row[n:])
 
 
 def _render_key(key: bytes, n: int, f: Field) -> str:
@@ -158,24 +155,10 @@ class MatrixOps:
         return bytes(out)
 
     def inv(self, a: bytes) -> bytes:
-        n = self.dim
-        f = self.field
-        rows = [list(a[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if rows[r][col]), None)
-            if pivot is None:
-                raise DomainError("matrix is singular")
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            inv_p = f.inv(rows[col][col])
-            rows[col] = [f.mul(x, inv_p) for x in rows[col]]
-            for r in range(n):
-                if r != col and rows[r][col]:
-                    factor = rows[r][col]
-                    rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], rows[col])]
-        out = bytearray(n * n)
-        for i in range(n):
-            out[i * n:(i + 1) * n] = bytes(rows[i][n:])
-        return bytes(out)
+        inverse = _gauss_jordan(a, self.dim, self.field)[1]
+        if inverse is None:
+            raise DomainError("matrix is singular")
+        return inverse
 
     def wrap(self, key: bytes) -> SquareMatrix:
         return SquareMatrix(self.field, None, _key=key)
@@ -194,13 +177,6 @@ class MatrixOps:
 
     def describe(self) -> str:
         return f"matrix group of dimension {self.dim} over GF({self.field.q})"
-
-    def same_shape(self, other: object) -> bool:
-        return (
-            isinstance(other, MatrixOps)
-            and other.dim == self.dim
-            and other.field.q == self.field.q
-        )
 
 
 @dataclass
@@ -283,38 +259,26 @@ def build_group(family: str, n: int, q: int, cap: Optional[int] = None) -> Finit
     limit = resolve_cap(cap)
     if n * (n - 1) // 2 >= limit.bit_length():
         raise ClosureBudgetExceeded(limit)
-    if family == "GL":
-        expected = gl_order(n, q)
-        _check_cap(expected, cap)
-        gens = _sl_generators(f, n)
-        if q > 2:
-            gens.append(_scalar_stretch(f, n))
-        group = enumerate_group(gens, name=f"GL({n},{q})", cap=cap)
-    elif family == "SL":
-        expected = sl_order(n, q)
-        _check_cap(expected, cap)
-        group = enumerate_group(_sl_generators(f, n), name=f"SL({n},{q})", cap=cap)
-    elif family == "PSL":
-        if n != 2:
-            raise DomainError("PSL is only built for dimension 2")
-        expected = psl_order(2, q)
-        _check_cap(expected, cap)
+    orders = {"GL": gl_order, "SL": sl_order, "PSL": psl_order}
+    if family not in orders:
+        raise DomainError(f"unknown family {family!r}")
+    if family == "PSL" and n != 2:
+        raise DomainError("PSL is only built for dimension 2")
+    expected = orders[family](n, q)
+    _check_cap(expected, cap)
+    if family == "PSL":
         points = _projective_points(f)
         gens = [_projective_action(m, points, f) for m in _sl_generators(f, 2)]
-        group = enumerate_group(gens, name=f"PSL(2,{q})", cap=cap)
     else:
-        raise DomainError(f"unknown family {family!r}")
+        gens = _sl_generators(f, n)
+        if family == "GL" and q > 2:
+            gens.append(_scalar_stretch(f, n))
+    group = enumerate_group(gens, name=f"{family}({n},{q})", cap=cap)
     if group.order != expected:
         raise RuntimeError(
             f"{group.describe()} enumerated to order {group.order}, expected {expected}"
         )
     return group
-
-
-def _check_cap(expected: int, cap: Optional[int]) -> None:
-    limit = resolve_cap(cap)
-    if expected > limit:
-        raise ClosureBudgetExceeded(limit)
 
 
 def is_two_power_neighbor(q: int) -> Optional[str]:

@@ -108,7 +108,7 @@ class Permutation:
         return Permutation._from_key(invert_key(self.key))
 
     def order(self) -> int:
-        return reduce(math.lcm, cycle_lengths_of_key(self.key), 1)
+        return self.group_ops().key_order(self.key)
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths, fixed points included, weakly decreasing."""
@@ -117,8 +117,8 @@ class Permutation:
     def is_even(self) -> bool:
         return (self.degree - len(cycle_lengths_of_key(self.key))) % 2 == 0
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycles as 0-based point tuples, lowest moved point first."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Nontrivial disjoint cycles as 0-based point tuples, lowest moved point first."""
         seen = bytearray(self.degree)
         out = []
         for start in range(self.degree):
@@ -131,7 +131,7 @@ class Permutation:
                 seen[j] = 1
                 cycle.append(j)
                 j = self.key[j]
-            if len(cycle) > 1 or include_fixed:
+            if len(cycle) > 1:
                 out.append(tuple(cycle))
         return out
 
@@ -225,6 +225,3 @@ class PermutationOps:
 
     def describe(self) -> str:
         return f"permutation group of degree {self.degree}"
-
-    def same_shape(self, other: object) -> bool:
-        return isinstance(other, PermutationOps) and other.degree == self.degree

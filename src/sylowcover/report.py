@@ -32,12 +32,8 @@ class CriterionOutcome:
             raise DomainError("an inapplicable criterion cannot carry a verdict")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "verdict": self.verdict,
-            "evidence": self.evidence,
-        }
+        """The fields in declaration order."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CriterionOutcome":
@@ -72,33 +68,20 @@ class DecisionReport:
             raise DomainError("brute-force reports must carry nu_p")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "group": self.group,
-            "order": self.order,
-            "p": self.p,
-            "verdict": self.verdict,
-            "method": self.method,
-            "witness": self.witness,
-            "nu_p": self.nu_p,
-            "criteria": [c.to_dict() for c in self.criteria],
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The fields in declaration order, criteria as dicts."""
+        return {**vars(self), "criteria": [c.to_dict() for c in self.criteria]}
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "DecisionReport":
+        required = {key: data[key] for key in ("group", "order", "p", "verdict", "method", "elapsed_ms")}
         return cls(
-            group=data["group"],
-            order=data["order"],
-            p=data["p"],
-            verdict=data["verdict"],
-            method=data["method"],
+            **required,
             witness=data.get("witness"),
             nu_p=data.get("nu_p"),
             criteria=[CriterionOutcome.from_dict(c) for c in data.get("criteria", [])],
-            elapsed_ms=data["elapsed_ms"],
         )
 
     @classmethod

@@ -1,12 +1,14 @@
 """Symmetric and alternating groups: block structures and fast deciders.
 
 A Sylow p-subgroup of S_n is the stabilizer of a nested family of p-power
-blocks built over the base-p digits of n, and the correspondence between
-block structures and Sylow p-subgroups is one-to-one.  That picture yields
-closed-form answers for symmetric and alternating groups: a 2-element of S_n
-lies in a unique Sylow 2-subgroup exactly when it has at most two fixed
-points and pairwise-distinct nontrivial cycle lengths, and sorting those
-distinguished cycle types by parity settles A_n.
+blocks built over the base-p digits of n.  For p <= 3 the block structures
+and the Sylow p-subgroups correspond one to one, and the block-structure API
+below is limited to those primes: for p >= 5 the group S_p has more than one
+Sylow p-subgroup, so one structure is fixed by several of them (S_7 has 21
+structures for 126 Sylow 5-subgroups).  The closed forms need no structures:
+a 2-element of S_n lies in a unique Sylow 2-subgroup exactly when it has at
+most two fixed points and pairwise-distinct nontrivial cycle lengths, and
+sorting those distinguished cycle types by parity settles A_n.
 """
 
 from __future__ import annotations
@@ -146,24 +148,22 @@ def canonical_element_of_type(n: int, parts: Iterable[int]) -> Permutation:
     return Permutation.from_cycles(n, cycles, one_based=False)
 
 
-def unique_sylow_witness(n: int, p: int, family: str = "Sn") -> Optional[Permutation]:
-    """An explicit element lying in a unique Sylow p-subgroup, if the closed
-    forms provide one.
+def unique_sylow_witness(n: int, p: int, family: str = "Sn") -> Optional[tuple[int, ...]]:
+    """The cycle type of an element lying in a unique Sylow p-subgroup, if the
+    closed forms provide one.
 
-    For S_n the element of type x(n) always works.  For A_n the witness is
-    the even member of the distinguished types (x(n) for odd p); None is
-    returned when every distinguished type is odd, i.e. when A_n is
-    redundant.
+    For S_n the type x(n) always works.  For A_n the witness is the even
+    member of the distinguished types (x(n) for odd p); None is returned
+    when every distinguished type is odd, i.e. when A_n is redundant.
+    ``canonical_element_of_type`` turns the type into an element.
     """
-    if family == "Sn":
-        return canonical_element_of_type(n, partition_x(n, p))
-    if family != "An":
+    if family not in ("Sn", "An"):
         raise DomainError(f"family must be Sn or An, got {family!r}")
-    if p != 2:
-        return canonical_element_of_type(n, partition_x(n, p))
+    if family == "Sn" or p != 2:
+        return partition_x(n, p)
     for parts in sorted(type_set(n), reverse=True):
         if partition_parity(parts) == "even":
-            return canonical_element_of_type(n, parts)
+            return parts
     return None
 
 
@@ -277,7 +277,12 @@ def _structure_orbit(n: int, p: int) -> tuple[BlockStructure, ...]:
 
 
 def all_block_structures(n: int, p: int) -> list[BlockStructure]:
-    """Every block structure for n: the S_n-orbit of the canonical one."""
+    """Every block structure for n: the S_n-orbit of the canonical one.
+
+    One per Sylow p-subgroup of S_n; p >= 5 raises DomainError.
+    """
+    if p >= 5:
+        raise DomainError(f"block structures match Sylow p-subgroups only for p <= 3, got p = {p}")
     return list(_structure_orbit(n, p))
 
 
@@ -305,7 +310,8 @@ def structure_stabilizer(structure: BlockStructure, group: FiniteGroup) -> Subgr
 def preserved_structure_count(x: Permutation, p: int) -> int:
     """How many block structures the p-element x preserves.
 
-    Agrees with the number of Sylow p-subgroups of S_n containing x.
+    Agrees with the number of Sylow p-subgroups of S_n containing x; p >= 5
+    raises DomainError.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")

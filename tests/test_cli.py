@@ -42,13 +42,77 @@ def test_decide_fixture_g108(capsys):
     assert report.verdict == "redundant"
     assert report.method == "brute-force"
     assert report.nu_p == 27
-    assert [c.name for c in report.criteria] == ["cyclic-quotient", "small-nu", "ti-sylow"]
+    assert [c.name for c in report.criteria] == ["cyclic-quotient", "ti-sylow"]
 
 
 def test_decide_family_sn_witness(capsys):
     report = decide_json(capsys, "--family", "Sn", "--n", "8", "--p", "2")
     assert report.method == "theorem-C-witness"
     assert report.witness == "(1,2,3,4,5,6,7,8)"
+
+
+MERSENNE_61 = 2**61 - 1
+
+
+@pytest.mark.parametrize("argv, verdict", [
+    (["--family", "Sn", "--n", "8", "--p", str(MERSENNE_61)], "not-redundant"),
+    (["--fixture", str(FIXTURES / "g108.json"), "--p", str(MERSENNE_61)], "not-redundant"),
+    # q = 2^61 - 1 is adjacent to a power of two, so SL(2, q) is not redundant at p = 2
+    (["--family", "SL2", "--q", str(MERSENNE_61), "--p", "2"], "not-redundant"),
+])
+def test_large_primes_are_answered_at_once(capsys, argv, verdict):
+    start = time.perf_counter()
+    report = decide_json(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert report.verdict == verdict
+
+
+def test_prime_past_the_miller_rabin_bound_is_refused(capsys):
+    code, out, err = run(capsys, "decide", "--family", "Sn", "--n", "8", "--p", str(2**89 - 1))
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sn_closed_form_past_degree_255(capsys):
+    # 300 = 256 + 32 + 8 + 4; no permutation of 300 points is formed
+    report = decide_json(capsys, "--family", "Sn", "--n", "300", "--p", "2", "--method", "fast")
+    cycles = report.witness[1:-1].split(")(")
+    assert [len(c.split(",")) for c in cycles] == [256, 32, 8, 4]
+    assert cycles[-1] == "297,298,299,300"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "Sn", "--n", "100000000", "--p", "2"],
+    ["--family", "An", "--n", "1000000000000", "--p", "2"],
+    ["--family", "Sn", "--n", "101", "--p", "3", "--budget", "100"],
+    ["--family", "Sn", "--n", "12", "--p", "2", "--method", "brute"],
+    ["--family", "An", "--n", "11", "--p", "3", "--method", "brute"],
+])
+def test_over_cap_sn_an_exit_3_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decide", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BUDGET
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_form_order_too_long_to_print_is_bad_input(capsys):
+    # |A_2096| has over 6000 digits, more than Python converts to a string by default
+    code, out, err = run(capsys, "decide", "--family", "An", "--n", "2096", "--p", "2")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_closed_form_witnesses_match_the_element_rendering():
+    from sylowcover.symmetric import canonical_element_of_type, unique_sylow_witness
+
+    for n in range(2, 256):
+        for p in (2, 3, 5, 7):
+            for family in ("Sn", "An") if n >= 6 else ("Sn",):
+                parts = unique_sylow_witness(n, p, family)
+                if parts is not None:
+                    expected = canonical_element_of_type(n, parts).cycle_string()
+                    assert cli._render_type(parts) == expected, (n, p, family)
 
 
 def test_decide_auto_uses_criteria_for_fixture(capsys):

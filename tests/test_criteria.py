@@ -221,7 +221,7 @@ def test_run_structural_criteria_order_and_shortcut(s4, sl28):
 def test_run_structural_criteria_all_inconclusive(g108):
     verdict, outcomes = run_structural_criteria(g108, 2)
     assert verdict is None
-    assert [o.name for o in outcomes] == ["cyclic-quotient", "small-nu", "ti-sylow"]
+    assert [o.name for o in outcomes] == ["cyclic-quotient", "ti-sylow"]
 
 
 @pytest.mark.parametrize("name", ["S4", "A4", "A5", "S5", "frobenius21", "g108", "sl23_matrix", "sl28"])

@@ -6,6 +6,7 @@ from sylowcover import (
     HypothesisFailed,
     SquareMatrix,
     build_group,
+    enumerate_group,
     enumerate_sylows,
     find_sylow,
     gl_wreath_checks,
@@ -54,6 +55,24 @@ def test_matrix_inverse():
     m = SquareMatrix(f, [[1, 3], [2, 5]])
     product = m * m.inverse()
     assert product == SquareMatrix.identity(f, 2)
+
+
+def test_inverse_and_determinant_share_one_elimination(gl24):
+    # every element of GL(2,4): M * M^-1 = 1, and det(M^-1) = det(M)^-1
+    f = make_field(4)
+    for i in range(gl24.order):
+        m = gl24.element(i)
+        assert m * m.inverse() == SquareMatrix.identity(f, 2)
+        assert f.mul(m.det(), m.inverse().det()) == 1
+
+
+def test_mixed_matrix_shapes_rejected():
+    a = SquareMatrix.identity(make_field(3), 2)
+    for other in (SquareMatrix.identity(make_field(5), 2), SquareMatrix.identity(make_field(3), 3)):
+        with pytest.raises(DomainError):
+            a * other
+        with pytest.raises(DomainError):
+            enumerate_group([a, other])
 
 
 @given(

@@ -198,12 +198,25 @@ def test_canonical_element_of_type():
 
 
 def test_unique_sylow_witness():
-    assert unique_sylow_witness(8, 2, "Sn").cycle_type() == (8,)
+    # the witness is a cycle type, fixed points included
+    assert unique_sylow_witness(8, 2, "Sn") == (8,)
     assert unique_sylow_witness(9, 2, "An") is None  # A_9 is redundant
     w12 = unique_sylow_witness(12, 2, "An")
-    assert w12 is not None and w12.is_even()
+    assert w12 is not None and partition_parity(w12) == "even"
     w9_3 = unique_sylow_witness(9, 3, "An")
-    assert w9_3.cycle_type() == (9,) and w9_3.is_even()
+    assert w9_3 == (9,) and partition_parity(w9_3) == "even"
+
+
+def test_block_structure_api_refuses_p_at_least_5():
+    # S_p has (p - 2)! Sylow p-subgroups, so for p >= 5 a structure does not
+    # name one: S_7 has 21 structures at p = 5 but 126 Sylow 5-subgroups, and
+    # (1 2 3 4 5) in S_10 preserves 1 structure but lies in 6 of them
+    with pytest.raises(DomainError):
+        all_block_structures(7, 5)
+    with pytest.raises(DomainError):
+        preserved_structure_count(Permutation.from_cycles(10, [(1, 2, 3, 4, 5)]), 5)
+    with pytest.raises(DomainError):
+        preserved_structure_count(Permutation.from_cycles(7, [tuple(range(1, 8))]), 7)
 
 
 def test_witness_types_are_unique_sylow_elements(s8):
