@@ -21,7 +21,6 @@ from .groups import FiniteGroup, Subgroup, enumerate_group
 from .linear import (
     FamilyVerdict,
     SquareMatrix,
-    build_group,
     gl_wreath_checks,
     is_two_power_neighbor,
     sl2_structure_checks,
@@ -92,7 +91,6 @@ __all__ = [
     "alternating_group",
     "base_block_structure",
     "build_family",
-    "build_group",
     "canonical_element_of_type",
     "class_size_test",
     "counting_bound_test",

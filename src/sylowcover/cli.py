@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 from itertools import accumulate
@@ -29,6 +28,7 @@ from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed, SylowC
 from .fixtures import FAMILIES, FAMILY_NAMES, build_family, family_params, load_fixture
 from .groups import FiniteGroup, _check_cap
 from .linear import theorem_51_decide, theorem_D_decide
+from .numtheory import is_prime
 from .report import CriterionOutcome, DecisionReport
 from .symmetric import theorem_B_decide, theorem_C_decide, unique_sylow_witness
 from .sylow import decide_redundant_bruteforce, enumerate_sylows, minimal_cover
@@ -59,36 +59,33 @@ def family_fast_decision(name: str, params: dict, p: int, cap: Optional[int] = N
     """Closed-form answer for a family input, or None when none applies.
 
     ``params`` must already be checked by ``family_params``.  An S_n or A_n
-    answer renders up to n points and its report prints |G| in full, so an
-    n past the enumeration cap, or a |G| too long to print, is refused first.
+    witness renders up to n points, so an n past the enumeration cap is
+    refused first; the report prints |G|, so a decided |G| too long to print
+    is refused before |G| is formed or a witness rendered.
     """
     if name in ("Sn", "An"):
-        n = params["n"]
-        _check_cap(n, cap)
-        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        log10_order = math.lgamma(n + 1) / math.log(10) - (math.log10(2) if name == "An" else 0.0)
-        if digits and log10_order >= digits:
-            raise DomainError(f"|{FAMILIES[name].describe(params)}| has more than {digits} digits to print")
-        if name == "Sn":
-            if n < 2:
-                return None
-            return Answer("not-redundant", "theorem-C-witness", _render_type(unique_sylow_witness(n, p, "Sn")))
+        _check_cap(params["n"], cap)
+    if name == "Sn":
+        if params["n"] < 2:
+            return None
+        redundant, method = False, "theorem-C-witness"
+    elif name == "An":
         try:
-            redundant = theorem_B_decide(n, p, "An")
+            redundant, method = theorem_B_decide(params["n"], p, "An"), "theorem-B"
         except DomainError:
             return None
-        if redundant:
-            return Answer("redundant", "theorem-B")
-        witness = unique_sylow_witness(n, p, "An")
-        return Answer("not-redundant", "theorem-B", _render_type(witness) if witness else None)
-    if name in ("SL2", "PSL2"):
-        verdict, method = theorem_D_decide(name, params["q"], p), "theorem-D"
+    elif name in ("SL2", "PSL2"):
+        redundant, method = theorem_D_decide(name, params["q"], p).redundant, "theorem-D"
     else:
         try:
-            verdict, method = theorem_51_decide(params["n"], params["q"], p), "theorem-5.1"
+            redundant, method = theorem_51_decide(params["n"], params["q"], p).redundant, "theorem-5.1"
         except HypothesisFailed:
             return None
-    return Answer("redundant" if verdict.redundant else "not-redundant", method)
+    family, digits = FAMILIES[name], getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and family.log10_order(**params) >= digits:
+        raise DomainError(f"|{family.describe(params)}| has more than {digits} digits to print")
+    parts = None if redundant or name not in ("Sn", "An") else unique_sylow_witness(params["n"], p, name)
+    return Answer("redundant" if redundant else "not-redundant", method, _render_type(parts) if parts else None)
 
 
 def _criteria_answer(group: FiniteGroup, p: int) -> tuple[Optional[Answer], list[CriterionOutcome]]:
@@ -218,13 +215,22 @@ def _int_list(flag: str, text: str) -> list[int]:
         raise DomainError(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
-def cmd_verify(args) -> tuple[int, str]:
+def _primes(args) -> list[int]:
+    """The primes a command runs at: --p, or the entries of verify's --p-list."""
+    verify = args.command == "verify"
+    p_values = _int_list("--p-list", args.p_list) if verify and args.p_list is not None else [args.p]
+    if p_values == [None]:
+        raise DomainError(f"{args.command} requires --p" + (" or --p-list" if verify else ""))
+    for p in p_values:
+        if not is_prime(p):
+            raise DomainError(f"p must be prime, got {p}")
+    return p_values
+
+
+def cmd_verify(args, p_values: list[int]) -> tuple[int, str]:
     if args.family not in FAMILIES:
         raise DomainError(f"unknown family {args.family!r}; choose one of {FAMILY_NAMES}")
     family = FAMILIES[args.family]
-    p_values = [args.p] if args.p_list is None else _int_list("--p-list", args.p_list)
-    if any(pv is None for pv in p_values):
-        raise DomainError("verify requires --p or --p-list")
     if "q" in family.params:
         # field-size sweep; any other parameter (GL's n) is fixed by its flag
         if not args.q_list:
@@ -236,7 +242,10 @@ def cmd_verify(args) -> tuple[int, str]:
             raise DomainError(f"verify --family {args.family} requires --max-n")
         # S_1 is trivial, so the degree sweep starts at 2 at the earliest
         low = max(family.params["n"], 2)
-        cases = [{"n": n} for n in range(low, args.max_n + 1)]
+        if args.max_n < low:
+            raise DomainError(f"verify --family {args.family} starts at n = {low}: --max-n {args.max_n} leaves no case")
+        # lazy: the sweep stops at the first group past the cap however large --max-n is
+        cases = ({"n": n} for n in range(low, args.max_n + 1))
     rows = [_verify_case(args.family, params, p, args.budget) for params in cases for p in p_values]
     all_agree = all(row["agree"] for row in rows)
     if args.format == "json":
@@ -314,14 +323,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.threads is not None and args.threads < 1:
         parser.exit(EXIT_BAD_INPUT, "error: --threads must be at least 1\n")
     try:
-        if args.command != "verify" and args.p is None:
-            raise DomainError(f"{args.command} requires --p")
+        p_values = _primes(args)
         if args.command == "decide":
             code, output = cmd_decide(args)
         elif args.command == "cover":
             code, output = cmd_cover(args)
         else:
-            code, output = cmd_verify(args)
+            code, output = cmd_verify(args, p_values)
     except ClosureBudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BUDGET

@@ -10,7 +10,8 @@ can carry provenance notes):
 
 Permutation images are 0-based; matrix entries are field encodings in
 [0, q) (base-p digits of the polynomial representative, constant term
-first).
+first).  The families are S_n, A_n, SL(2,q), PSL(2,q) and GL(n,q); there is
+no SL(n,q) for n >= 3.
 """
 
 from __future__ import annotations
@@ -18,45 +19,36 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from math import factorial
+from math import factorial, lgamma, log, log10
 from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import DomainError
 from .fields import make_field
-from .groups import FiniteGroup, _check_cap, enumerate_group
-from .linear import SquareMatrix, build_group, gl_order, psl_order, sl_order
+from .groups import FiniteGroup, enumerate_group
+from .linear import SquareMatrix, _gl_group, _log10_gl_order, _psl2_group, _sl2_group, gl_order, psl_order, sl_order
 from .perm import MAX_DEGREE, Permutation
 
 
 def symmetric_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
     if not 1 <= n <= MAX_DEGREE:
         raise DomainError(f"n must be in 1..{MAX_DEGREE}, got {n}")
-    expected = factorial(n)
-    _check_cap(expected, cap)
     if n == 1:
-        return enumerate_group([Permutation.identity(1)], name="S_1", cap=cap)
-    gens = [Permutation.from_cycles(n, [(1, 2)]), Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
-    group = enumerate_group(gens, name=f"S_{n}", cap=cap)
-    if group.order != expected:
-        raise RuntimeError(f"S_{n} enumerated to order {group.order}, expected {expected}")
-    return group
+        gens = [Permutation.identity(1)]
+    else:
+        gens = [Permutation.from_cycles(n, [(1, 2)]), Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
+    return enumerate_group(gens, name=f"S_{n}", cap=cap, order=factorial(n))
 
 
 def alternating_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
     if not 3 <= n <= MAX_DEGREE:
         raise DomainError(f"n must be in 3..{MAX_DEGREE}, got {n}")
-    expected = factorial(n) // 2
-    _check_cap(expected, cap)
     if n % 2 == 1:
         cycle = tuple(range(1, n + 1))
     else:
         cycle = tuple(range(2, n + 1))
     gens = [Permutation.from_cycles(n, [(1, 2, 3)]), Permutation.from_cycles(n, [cycle])]
-    group = enumerate_group(gens, name=f"A_{n}", cap=cap)
-    if group.order != expected:
-        raise RuntimeError(f"A_{n} enumerated to order {group.order}, expected {expected}")
-    return group
+    return enumerate_group(gens, name=f"A_{n}", cap=cap, order=factorial(n) // 2)
 
 
 @dataclass(frozen=True)
@@ -65,13 +57,15 @@ class Family:
 
     ``params`` maps each integer parameter to its least allowed value;
     ``label`` formats the group's name from them, ``order`` gives |G| without
-    building the group, and ``build`` enumerates it (keyword arguments: the
-    params and ``cap``).  A built group carries the label as its name.
+    building the group, ``log10_order`` estimates log10 |G| cheaply, and
+    ``build`` enumerates it (keyword arguments: the params and ``cap``).  A
+    built group carries the label as its name.
     """
 
     params: dict[str, int]
     label: str
     order: Callable[..., int]
+    log10_order: Callable[..., float]
     build: Callable[..., FiniteGroup]
 
     def describe(self, params: dict[str, int]) -> str:
@@ -80,11 +74,12 @@ class Family:
 
 # math.factorial takes no keyword arguments, hence the lambdas
 FAMILIES: dict[str, Family] = {
-    "Sn": Family({"n": 1}, "S_{n}", lambda n: factorial(n), symmetric_group),
-    "An": Family({"n": 3}, "A_{n}", lambda n: factorial(n) // 2, alternating_group),
-    "SL2": Family({"q": 2}, "SL(2,{q})", partial(sl_order, 2), partial(build_group, "SL", 2)),
-    "PSL2": Family({"q": 2}, "PSL(2,{q})", partial(psl_order, 2), partial(build_group, "PSL", 2)),
-    "GL": Family({"n": 1, "q": 2}, "GL({n},{q})", gl_order, partial(build_group, "GL")),
+    "Sn": Family({"n": 1}, "S_{n}", lambda n: factorial(n), lambda n: lgamma(n + 1) / log(10), symmetric_group),
+    "An": Family({"n": 3}, "A_{n}", lambda n: factorial(n) // 2, lambda n: lgamma(n + 1) / log(10) - log10(2),
+                 alternating_group),
+    "SL2": Family({"q": 2}, "SL(2,{q})", partial(sl_order, 2), lambda q: log10(sl_order(2, q)), _sl2_group),
+    "PSL2": Family({"q": 2}, "PSL(2,{q})", partial(psl_order, 2), lambda q: log10(psl_order(2, q)), _psl2_group),
+    "GL": Family({"n": 1, "q": 2}, "GL({n},{q})", gl_order, _log10_gl_order, _gl_group),
 }
 FAMILY_NAMES = tuple(FAMILIES)
 

@@ -482,13 +482,20 @@ class FiniteGroup:
         return f"FiniteGroup({self.describe()}, order={self.order})"
 
 
-def enumerate_group(generators: Sequence[object], name: Optional[str] = None, cap: Optional[int] = None) -> FiniteGroup:
+def enumerate_group(
+    generators: Iterable[object], name: Optional[str] = None, cap: Optional[int] = None, order: Optional[int] = None
+) -> FiniteGroup:
     """Enumerate the group generated by permutations or matrices.
 
     All generators must share one shape (same degree, or same field and
     dimension).  Element indices follow a fixed breadth-first order, so two
-    calls with the same generator list produce identical tables.
+    calls with the same generator list produce identical tables.  A known
+    |G| passed as ``order`` is refused past the cap before any generator is
+    drawn (they may come lazily), and the table must reach exactly it.
     """
+    if order is not None:
+        _check_cap(order, cap)
+    generators = list(generators)
     if not generators:
         raise DomainError("generator list must be nonempty")
     ops = generators[0].group_ops()
@@ -496,4 +503,7 @@ def enumerate_group(generators: Sequence[object], name: Optional[str] = None, ca
     if any(g.group_ops() is not ops for g in generators[1:]):
         raise DomainError("generators do not share a common degree/shape")
     keys = [ops.unwrap(g) for g in generators]
-    return FiniteGroup(ops, keys, name=name, cap=cap)
+    group = FiniteGroup(ops, keys, name=name, cap=cap)
+    if order is not None and group.order != order:
+        raise RuntimeError(f"{group.describe()} enumerated to order {group.order}, expected {order}")
+    return group

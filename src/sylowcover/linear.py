@@ -1,9 +1,9 @@
 """Matrix groups over small finite fields and their family deciders.
 
-GL(n,q) and SL(n,q) are enumerated from unipotent generators (plus a scalar
-stretch for GL); PSL(2,q) is realized as the faithful permutation action of
-SL(2,q) on the q+1 points of the projective line.  Enumerated orders are
-always verified against the closed-form order formulas.
+SL(2,q) and GL(n,q) are enumerated from transvections (plus a scalar stretch
+for GL); PSL(2,q) is realized as the faithful permutation action of SL(2,q)
+on the q+1 points of the projective line.  There is no SL(n,q) build for
+n >= 3.  Each builder hands its order formula to ``enumerate_group``.
 
 The module also houses the closed-form redundancy deciders for the SL/PSL
 and GL families and the structural checks used to cross-validate them.
@@ -17,7 +17,7 @@ from typing import Any, Optional
 
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
-from .groups import FiniteGroup, KeyClosure, Subgroup, _check_cap, enumerate_group, resolve_cap
+from .groups import FiniteGroup, KeyClosure, Subgroup, enumerate_group, resolve_cap
 from .numtheory import is_prime, prime_power_decomposition
 from .perm import Permutation
 
@@ -205,31 +205,26 @@ def psl_order(n: int, q: int) -> int:
     return sl_order(n, q) // math.gcd(n, q - 1)
 
 
-def _transvection(f: Field, n: int, i: int, j: int, value: int) -> SquareMatrix:
-    entries = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    entries[i][j] = value
-    return SquareMatrix(f, entries)
+def _log10_gl_order(n: int, q: int) -> float:
+    """log10 of |GL(n,q)| = q^(n^2) * prod_{k=1..n} (1 - q^-k); past k = 64 the factors round to 1."""
+    return n * n * math.log10(q) + sum(math.log10(1 - 1 / q**k) for k in range(1, min(n, 64) + 1))
+
+
+def _elementary(f: Field, n: int, pos: int, value: int) -> SquareMatrix:
+    """The identity with row-major entry ``pos`` set to a nonzero ``value``."""
+    key = bytearray(MatrixOps.for_shape(f, n).identity_key())
+    key[pos] = value
+    return SquareMatrix(f, None, _key=bytes(key))
 
 
 def _sl_generators(f: Field, n: int) -> list[SquareMatrix]:
     """Adjacent-position transvections with coefficients spanning GF(q) over its prime field."""
-    if f.k == 1:
-        basis = [1]
-    else:
-        # a multiplicative generator has degree k, so its first k powers form a basis
-        basis = [f.pow(f.generator, m) for m in range(f.k)]
-    gens = []
-    for i in range(n - 1):
-        for c in basis:
-            gens.append(_transvection(f, n, i, i + 1, c))
-            gens.append(_transvection(f, n, i + 1, i, c))
-    return gens
-
-
-def _scalar_stretch(f: Field, n: int) -> SquareMatrix:
-    entries = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    entries[0][0] = f.generator
-    return SquareMatrix(f, entries)
+    # a multiplicative generator has degree k, so its first k powers form a basis
+    basis = [f.pow(f.generator, m) for m in range(f.k)]
+    return [
+        _elementary(f, n, pos, c)
+        for i in range(n - 1) for c in basis for pos in (i * n + i + 1, (i + 1) * n + i)
+    ]
 
 
 def _projective_points(f: Field) -> list[tuple[int, int]]:
@@ -252,33 +247,28 @@ def _projective_action(gen: SquareMatrix, points: list[tuple[int, int]], f: Fiel
     return Permutation(images)
 
 
-def build_group(family: str, n: int, q: int, cap: Optional[int] = None) -> FiniteGroup:
-    """Enumerate GL(n,q), SL(n,q), or PSL(2,q); orders verified against formulas."""
+def _sl2_group(q: int, cap: Optional[int] = None) -> FiniteGroup:
+    return enumerate_group(_sl_generators(make_field(q), 2), name=f"SL(2,{q})", cap=cap, order=sl_order(2, q))
+
+
+def _psl2_group(q: int, cap: Optional[int] = None) -> FiniteGroup:
+    # lazy generators, formed after the cap check: q+1 points may pass the degree bound
     f = make_field(q)
-    # |SL(n,q)| >= 2^(n(n-1)/2): refuse a huge n before its exact order is computed
+    points = _projective_points(f)
+    gens = (_projective_action(m, points, f) for m in _sl_generators(f, 2))
+    return enumerate_group(gens, name=f"PSL(2,{q})", cap=cap, order=psl_order(2, q))
+
+
+def _gl_group(n: int, q: int, cap: Optional[int] = None) -> FiniteGroup:
+    f = make_field(q)
+    # |GL(n,q)| >= 2^(n(n-1)/2): refuse a huge n before its exact order is computed
     limit = resolve_cap(cap)
     if n * (n - 1) // 2 >= limit.bit_length():
         raise ClosureBudgetExceeded(limit)
-    orders = {"GL": gl_order, "SL": sl_order, "PSL": psl_order}
-    if family not in orders:
-        raise DomainError(f"unknown family {family!r}")
-    if family == "PSL" and n != 2:
-        raise DomainError("PSL is only built for dimension 2")
-    expected = orders[family](n, q)
-    _check_cap(expected, cap)
-    if family == "PSL":
-        points = _projective_points(f)
-        gens = [_projective_action(m, points, f) for m in _sl_generators(f, 2)]
-    else:
-        gens = _sl_generators(f, n)
-        if family == "GL" and q > 2:
-            gens.append(_scalar_stretch(f, n))
-    group = enumerate_group(gens, name=f"{family}({n},{q})", cap=cap)
-    if group.order != expected:
-        raise RuntimeError(
-            f"{group.describe()} enumerated to order {group.order}, expected {expected}"
-        )
-    return group
+    gens = _sl_generators(f, n)
+    if q > 2:
+        gens.append(_elementary(f, n, 0, f.generator))
+    return enumerate_group(gens, name=f"GL({n},{q})", cap=cap, order=gl_order(n, q))
 
 
 def is_two_power_neighbor(q: int) -> Optional[str]:
@@ -351,8 +341,8 @@ def sl2_structure_checks(q: int, cap: Optional[int] = None) -> dict[str, Any]:
     char, _ = prime_power_decomposition(q)
     if char == 2:
         raise DomainError("structure checks require odd q")
-    sl = build_group("SL", 2, q, cap=cap)
-    psl = build_group("PSL", 2, q, cap=cap)
+    sl = _sl2_group(q, cap=cap)
+    psl = _psl2_group(q, cap=cap)
     report: dict[str, Any] = {"q": q}
     sl_sys = enumerate_sylows(sl, 2)
     psl_sys = enumerate_sylows(psl, 2)
@@ -394,10 +384,7 @@ def wreath_cpcp(p: int, cap: Optional[int] = None) -> FiniteGroup:
     degree = p * p
     base_cycle = Permutation.from_cycles(degree, [tuple(range(1, p + 1))])
     block_shift = Permutation([(i + p) % degree for i in range(degree)])
-    group = enumerate_group([base_cycle, block_shift], name=f"C{p} wr C{p}", cap=cap)
-    if group.order != p ** (p + 1):
-        raise RuntimeError(f"wreath product enumerated to order {group.order}, expected {p**(p+1)}")
-    return group
+    return enumerate_group([base_cycle, block_shift], name=f"C{p} wr C{p}", cap=cap, order=p ** (p + 1))
 
 
 def _frattini_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> KeyClosure:
@@ -466,13 +453,12 @@ def gl_wreath_checks(p: int, q: int, cap: Optional[int] = None, group: Optional[
         from .sylow import find_sylow
 
         if group is None:
-            group = build_group("GL", p, q, cap=cap)
+            group = _gl_group(p, q, cap=cap)
         sylow = find_sylow(group, p)
-        report["group"] = group.describe()
     else:
         group = wreath_cpcp(p, cap=cap)
         sylow = group.full_subgroup()
-        report["group"] = group.describe()
+    report["group"] = group.describe()
     report["sylow_order"] = sylow.order
     if sylow.order != p ** (p + 1):
         raise RuntimeError(f"Sylow order {sylow.order}, expected p^(p+1) = {p**(p+1)}")

@@ -215,8 +215,8 @@ def minimal_cover(system: SylowSystem, mode: str = "greedy", budget: Optional[in
     if mode not in ("greedy", "exact"):
         raise DomainError(f"mode must be 'greedy' or 'exact', got {mode!r}")
     masks, full = _cover_masks(system)
-    greedy = _greedy_cover(masks, full)
     if mode == "greedy":
+        greedy = _greedy_cover(masks, full)
         _verify_cover(masks, full, greedy)
         return CoverResult(size=len(greedy), chosen=tuple(greedy), exact=(len(greedy) == 1))
     if system.nu > EXACT_COVER_NU_BOUND:
@@ -224,21 +224,15 @@ def minimal_cover(system: SylowSystem, mode: str = "greedy", budget: Optional[in
             f"exact cover search is limited to nu <= {EXACT_COVER_NU_BOUND}; "
             f"this system has nu = {system.nu} (use greedy mode)"
         )
+    # An element covered by exactly one subgroup forces that subgroup into
+    # every cover.  The Sylow subgroups are conjugate, so if one holds such an
+    # element every one does: all are forced (the unique minimum) or none is.
+    if system.unique_witnesses():
+        everything = tuple(range(system.nu))
+        _verify_cover(masks, full, everything)
+        return CoverResult(size=system.nu, chosen=everything, exact=True)
     node_budget = budget if budget is not None else DEFAULT_COVER_NODE_BUDGET
-    # Essential-set reduction: an element covered by exactly one subgroup
-    # forces that subgroup into every cover.  In a group without a redundant
-    # Sylow subgroup this already forces the whole collection.
-    forced = sorted({
-        next(i for i, m in enumerate(masks) if (m >> pos) & 1)
-        for pos, x in enumerate(system.p_elements)
-        if system.multiplicity[x] == 1
-    })
-    base_cover = 0
-    for i in forced:
-        base_cover |= masks[i]
-    # every cover contains the forced subgroups, so when they already cover
-    # everything they are the unique minimum
-    best = list(forced) if base_cover == full else list(greedy)
+    best = _greedy_cover(masks, full)
     nodes = 0
     exhausted = False
     max_size = max(m.bit_count() for m in masks)
@@ -271,8 +265,7 @@ def minimal_cover(system: SylowSystem, mode: str = "greedy", budget: Optional[in
             if exhausted:
                 return
 
-    if base_cover != full:
-        descend(base_cover, list(forced))
+    descend(0, [])
     _verify_cover(masks, full, best)
     return CoverResult(size=len(best), chosen=tuple(sorted(best)), exact=not exhausted, nodes=nodes)
 

@@ -8,7 +8,7 @@ import pytest
 
 from sylowcover import (
     alternating_group,
-    build_group,
+    build_family,
     enumerate_group,
     load_fixture,
     symmetric_group,
@@ -66,17 +66,17 @@ def frobenius21():
 
 @pytest.fixture(scope="session")
 def sl28():
-    return build_group("SL", 2, 8)
+    return build_family("SL2", {"q": 8})
 
 
 @pytest.fixture(scope="session")
 def gl34():
-    return build_group("GL", 3, 4)
+    return build_family("GL", {"n": 3, "q": 4})
 
 
 @pytest.fixture(scope="session")
 def gl24():
-    return build_group("GL", 2, 4)
+    return build_family("GL", {"n": 2, "q": 4})
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ from sylowcover import (
     HypothesisFailed,
     Permutation,
     alternating_group,
-    build_group,
+    build_family,
     class_size_test,
     counting_bound_test,
     cyclic_quotient_test,
@@ -107,7 +107,7 @@ def test_acceptance_4_theorem_d_sweep():
         cases = 0
         for q in THEOREM_D_SWEEP_Q:
             for family in ("SL2", "PSL2"):
-                group = build_group("SL" if family == "SL2" else "PSL", 2, q)
+                group = build_family(family, {"q": q})
                 for p, _ in factorization(group.order):
                     brute = decide_redundant_bruteforce(group, p).verdict
                     fast = theorem_D_decide(family, q, p).redundant
@@ -124,8 +124,8 @@ def test_acceptance_5_normalizer_indices_q17_q19():
     with criterion(5, "Sylow 2-normalizer indices in SL/PSL(2,17) and (2,19)") as state:
         indices = {}
         for q, expected in ((17, 1), (19, 3)):
-            sl = build_group("SL", 2, q)
-            psl = build_group("PSL", 2, q)
+            sl = build_family("SL2", {"q": q})
+            psl = build_family("PSL2", {"q": q})
             sl_sys = enumerate_sylows(sl, 2)
             psl_sys = enumerate_sylows(psl, 2)
             assert sl_sys.normalizer_order == expected * sl_sys.sylow_order
@@ -188,10 +188,10 @@ def _soundness_fixtures():
     for n in range(4, 10):
         fixtures.append((f"A_{n}", alternating_group(n), (2,)))
     for q in THEOREM_D_SWEEP_Q + (17, 19):
-        group = build_group("SL", 2, q)
+        group = build_family("SL2", {"q": q})
         primes = tuple(p for p, _ in factorization(group.order))
         fixtures.append((f"SL(2,{q})", group, primes if q <= 13 else (2,)))
-        pgroup = build_group("PSL", 2, q)
+        pgroup = build_family("PSL2", {"q": q})
         pprimes = tuple(p for p, _ in factorization(pgroup.order))
         fixtures.append((f"PSL(2,{q})", pgroup, pprimes if q <= 13 else (2,)))
     return fixtures

@@ -1,5 +1,9 @@
 import importlib.util
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -303,6 +307,9 @@ def test_successive_calls_share_no_state(capsys):
     ["verify", "--family", "Sn", "--max-n", "4", "--p-list", "2,x"],
     ["verify", "--family", "SL2", "--q-list", "3,y", "--p", "2"],
     ["decide", "--fixture", "FAMILY_WITHOUT_PARAMS", "--p", "2"],
+    # sweeps with no case
+    ["verify", "--family", "An", "--p", "2", "--max-n", "2"],
+    ["verify", "--family", "Sn", "--p", "2", "--max-n", "1"],
 ])
 def test_malformed_family_input_is_bad_input(capsys, tmp_path, argv):
     fixture = tmp_path / "family.json"
@@ -371,3 +378,65 @@ def test_usage_error_names_the_subcommand(capsys):
     with pytest.raises(SystemExit):
         main(["decide", "--family", "Sn", "--n", "x", "--p", "2"])
     assert capsys.readouterr().err == "sylowcover decide: error: argument --n: invalid int value: 'x'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # Theorem 5.1 decides both (p exactly divides q - 1 and n = p), and |G|
+    # has far more digits than Python prints
+    ["--family", "GL", "--n", "101", "--q", "607", "--p", "101"],
+    ["--family", "GL", "--n", "1009", "--q", "10091", "--p", "1009"],
+])
+def test_gl_closed_form_order_too_long_to_print_is_bad_input(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "decide", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gl_past_the_cap_without_a_closed_form_is_over_budget(capsys):
+    # Theorem 5.1 needs an odd p, so GL(200,3) is built, and refused at once
+    code, out, err = run(capsys, "decide", "--family", "GL", "--n", "200", "--q", "3", "--p", "2")
+    assert code == EXIT_BUDGET
+    assert out == "" and err.count("\n") == 1
+
+
+def test_verify_sweeps_degrees_lazily():
+    # a list of 10^8 cases would not fit in the 2 GB the child may map; the
+    # sweep stops at S_7, the first group past the cap of 1000
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-m", "sylowcover.cli", "verify", "--family", "Sn", "--p", "2",
+         "--max-n", "100000000", "--budget", "1000"],
+        capture_output=True, text=True, preexec_fn=limit_memory, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    # interpreter start-up and import included
+    assert time.perf_counter() - start < 2.0
+    assert child.returncode == EXIT_BUDGET
+    assert child.stdout == "" and child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["decide", "--family", "An", "--n", "9", "--p", "4"],
+    ["decide", "--family", "An", "--n", "9", "--p", "4", "--method", "brute"],
+    ["decide", "--family", "GL", "--n", "3", "--q", "4", "--p", "9", "--method", "fast"],
+    ["decide", "--family", "An", "--n", "9", "--p", "1", "--method", "fast"],
+    ["decide", "--fixture", str(FIXTURES / "g108.json"), "--p", "6"],
+    ["cover", "--family", "Sn", "--n", "5", "--p", "4"],
+    ["verify", "--family", "Sn", "--max-n", "5", "--p", "4"],
+    ["verify", "--family", "SL2", "--q-list", "5,7", "--p-list", "2,3,4"],
+])
+def test_non_prime_p_is_refused_before_any_group_is_built(capsys, monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    monkeypatch.setattr(cli, "build_family", no_build)
+    monkeypatch.setattr(cli, "load_fixture", no_build)
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    bad = argv[argv.index("--p-list" if "--p-list" in argv else "--p") + 1].split(",")[-1]
+    assert out == "" and err == f"error: p must be prime, got {bad}\n"

@@ -111,9 +111,9 @@ def test_cyclic_quotient_normal_sylow(a4):
 
 
 def test_cyclic_quotient_quaternion_over_center():
-    from sylowcover import build_group
+    from sylowcover import build_family
 
-    group = build_group("SL", 2, 11)
+    group = build_family("SL2", {"q": 11})
     outcome = cyclic_quotient_test(group, 2)
     assert outcome.verdict == "inconclusive"
     assert outcome.evidence["core_order"] == 2

@@ -321,3 +321,17 @@ def test_subgroup_closure_matches_the_index_table_closure(name, s4, monkeypatch)
     # the closure itself multiplies keys, never through the index table
     monkeypatch.setattr(type(group), "mul", None)
     assert [group.subgroup_closure(seed).member_set() for seed in seeds] == expected
+
+
+def test_enumerate_group_checks_a_known_order():
+    assert enumerate_group(S4_GENS, order=24).order == 24
+    with pytest.raises(RuntimeError):
+        enumerate_group(S4_GENS, order=12)
+
+    def never_drawn():
+        raise AssertionError("a generator was drawn")
+        yield
+
+    # an order past the cap is refused before any generator is formed
+    with pytest.raises(ClosureBudgetExceeded):
+        enumerate_group(never_drawn(), cap=23, order=24)

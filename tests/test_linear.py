@@ -5,7 +5,7 @@ from sylowcover import (
     DomainError,
     HypothesisFailed,
     SquareMatrix,
-    build_group,
+    build_family,
     enumerate_group,
     enumerate_sylows,
     find_sylow,
@@ -28,20 +28,15 @@ def test_order_formulas():
 
 
 def test_build_sl25():
-    assert build_group("SL", 2, 5).order == 120
+    assert build_family("SL2", {"q": 5}).order == 120
 
 
 def test_build_psl27():
-    assert build_group("PSL", 2, 7).order == 168
+    assert build_family("PSL2", {"q": 7}).order == 168
 
 
 def test_build_gl24(gl24):
     assert gl24.order == 180
-
-
-def test_build_rejects_unknown_family():
-    with pytest.raises(DomainError):
-        build_group("SO", 3, 4)
 
 
 def test_singular_matrix_rejected():
@@ -93,7 +88,7 @@ def test_determinant_multiplicative(a_entries, b_entries):
 
 def test_element_order_of_diagonal_in_sl24():
     f = make_field(4)
-    group = build_group("SL", 2, 4)
+    group = build_family("SL2", {"q": 4})
     w = f.generator
     m = SquareMatrix(f, [[w, 0], [0, f.inv(w)]])
     assert group.element_order(group.index_of(m)) == 3
@@ -105,8 +100,8 @@ def test_psl_action_kernel_is_center():
     from sylowcover.linear import _projective_action, _projective_points
 
     f = mf(5)
-    sl = build_group("SL", 2, 5)
-    psl = build_group("PSL", 2, 5)
+    sl = build_family("SL2", {"q": 5})
+    psl = build_family("PSL2", {"q": 5})
     assert sl.order == psl.order * 2
     points = _projective_points(f)
     trivial = []
@@ -168,7 +163,7 @@ def test_sl2_structure_checks_q11():
 
 
 def test_sl17_sylow_is_generalized_quaternion():
-    group = build_group("SL", 2, 17)
+    group = build_family("SL2", {"q": 17})
     sylow = find_sylow(group, 2)
     assert sylow.order == 32
     involutions = [x for x in sylow.indices if group.element_order(x) == 2]
@@ -177,20 +172,20 @@ def test_sl17_sylow_is_generalized_quaternion():
 
 def test_sl2q_maximal_2_power_element_is_self_centralizing():
     # for q = 17 = 2^4 + 1, an element of order 16 has centralizer <x>
-    group = build_group("SL", 2, 17)
+    group = build_family("SL2", {"q": 17})
     x = next(i for i in range(group.order) if group.element_order(i) == 16)
     assert group.centralizer(x).order == 16
 
 
 def test_sl211_two_element_centralizers():
-    group = build_group("SL", 2, 11)
+    group = build_family("SL2", {"q": 11})
     for x in group.p_elements(2):
         order = group.centralizer(x).order
         assert order % 10 == 0 or order % 12 == 0
 
 
 def test_norm_indices_sl11():
-    group = build_group("SL", 2, 11)
+    group = build_family("SL2", {"q": 11})
     system = enumerate_sylows(group, 2)
     assert system.normalizer_order == 3 * system.sylow_order == 24
 
@@ -224,8 +219,8 @@ def test_theorem_d_matches_brute_force_q16_q17():
     from sylowcover.numtheory import factorization
 
     for q in (16, 17):
-        for family, tag in (("SL", "SL2"), ("PSL", "PSL2")):
-            group = build_group(family, 2, q)
+        for tag in ("SL2", "PSL2"):
+            group = build_family(tag, {"q": q})
             for p, _ in factorization(group.order):
                 brute = decide_redundant_bruteforce(group, p).verdict
                 fast = theorem_D_decide(tag, q, p).redundant

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sylowcover import DomainError, Permutation, build_group, symmetric_group
+from sylowcover import DomainError, Permutation, build_family, symmetric_group
 from sylowcover.numtheory import is_prime
 from sylowcover.perm import invert_key
 
@@ -80,7 +80,7 @@ def test_cycle_type_is_conjugation_invariant(x, g):
     assert conjugate.cycle_type() == px.cycle_type()
 
 
-@pytest.mark.parametrize("build", [lambda: symmetric_group(7), lambda: build_group("PSL", 2, 25)],
+@pytest.mark.parametrize("build", [lambda: symmetric_group(7), lambda: build_family("PSL2", {"q": 25})],
                          ids=["S7", "PSL(2,25)"])
 def test_key_is_p_element_matches_cycle_definition(build):
     # every p up to degree + 2 covers p > degree, p^k = degree (S_7 at p = 7)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sylowcover import (
+    CoverResult,
     DomainError,
     Permutation,
     alternating_group,
@@ -17,6 +18,7 @@ from sylowcover import (
 from sylowcover import sylow
 from sylowcover.cli import main
 from sylowcover.groups import FiniteGroup
+from sylowcover.numtheory import factorization
 from sylowcover.perm import PermutationOps
 from sylowcover.sylow import EXACT_COVER_NU_BOUND
 
@@ -259,3 +261,35 @@ def test_greedy_cover_matches_the_reference_on_tied_masks(base, data):
             sylow._greedy_cover(masks, full)
     else:
         assert sylow._greedy_cover(masks, full) == expected
+
+
+def _reference_forced(system, masks):
+    """Reference essential set: for each p-element of multiplicity one, the
+    first subgroup holding it."""
+    return sorted({
+        next(i for i, m in enumerate(masks) if (m >> pos) & 1)
+        for pos, x in enumerate(system.p_elements)
+        if system.multiplicity[x] == 1
+    })
+
+
+@pytest.mark.parametrize("name", ["s4", "a5", "g108", "frobenius21", "sl28"])
+def test_exact_cover_matches_the_reference_forced_set(request, monkeypatch, name):
+    group = alternating_group(5) if name == "a5" else request.getfixturevalue(name)
+    greedy_calls = []
+    greedy = sylow._greedy_cover
+    monkeypatch.setattr(sylow, "_greedy_cover", lambda *args: greedy_calls.append(1) or greedy(*args))
+    for p, _ in factorization(group.order):
+        system = enumerate_sylows(group, p)
+        forced = _reference_forced(system, sylow._cover_masks(system)[0])
+        everything = list(range(system.nu))
+        # conjugate Sylow subgroups: every one is forced, or none is
+        assert forced in ([], everything), (name, p)
+        greedy_calls.clear()
+        cover = minimal_cover(system, "exact")
+        if forced:
+            assert cover == CoverResult(system.nu, tuple(everything), exact=True, nodes=0)
+            assert greedy_calls == []
+        else:
+            assert cover.exact and cover.nodes > 0 and greedy_calls == [1]
+            assert cover.size <= minimal_cover(system, "greedy").size
