@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from math import factorial, lgamma, log, log10
+from math import factorial, inf, lgamma, log, log10
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -51,6 +51,14 @@ def alternating_group(n: int, cap: Optional[int] = None) -> FiniteGroup:
     return enumerate_group(gens, name=f"A_{n}", cap=cap, order=factorial(n) // 2)
 
 
+def _log10_factorial(n: int) -> float:
+    """log10 n!; past the float range (n about 1.8e308) lgamma overflows, and inf stands for it."""
+    try:
+        return lgamma(n + 1) / log(10)
+    except OverflowError:
+        return inf
+
+
 @dataclass(frozen=True)
 class Family:
     """One family of groups, described once.
@@ -74,8 +82,8 @@ class Family:
 
 # math.factorial takes no keyword arguments, hence the lambdas
 FAMILIES: dict[str, Family] = {
-    "Sn": Family({"n": 1}, "S_{n}", lambda n: factorial(n), lambda n: lgamma(n + 1) / log(10), symmetric_group),
-    "An": Family({"n": 3}, "A_{n}", lambda n: factorial(n) // 2, lambda n: lgamma(n + 1) / log(10) - log10(2),
+    "Sn": Family({"n": 1}, "S_{n}", lambda n: factorial(n), _log10_factorial, symmetric_group),
+    "An": Family({"n": 3}, "A_{n}", lambda n: factorial(n) // 2, lambda n: _log10_factorial(n) - log10(2),
                  alternating_group),
     "SL2": Family({"q": 2}, "SL(2,{q})", partial(sl_order, 2), lambda q: log10(sl_order(2, q)), _sl2_group),
     "PSL2": Family({"q": 2}, "PSL(2,{q})", partial(psl_order, 2), lambda q: log10(psl_order(2, q)), _psl2_group),

@@ -8,6 +8,13 @@ normalizer membership and conjugation of whole subgroups) run on element keys
 through a small key-level ops object and convert to indices only where a
 result leaves the loop; a key -> index -> key round trip per product would
 cost more than the product.
+
+The normalizer test is g*h*g^-1 in H for each generator h of H, that is
+g H g^-1 = H; conjugating both sides by g shows this is H = g^-1 H g, so it
+finds the same set as the g^-1*h*g test.
+Permutation ops test it without inverses (``normalizing_keys``), so no
+permutation path builds the whole-group inverse table; matrix groups have no
+inverse-free conjugate and keep the loop over that table.
 """
 
 from __future__ import annotations
@@ -352,8 +359,8 @@ class FiniteGroup:
         """
         keys = self._keys
         mul = self.ops.mul
-        inverses = self._inverse_table()
-        conj = [(keys[inverses[g]], keys[g]) for g in self.generators]
+        inv = self.ops.inv
+        conj = [(inv(keys[g]), keys[g]) for g in self.generators]
         seen = {keys[x]}
         queue = [keys[x]]
         for y in queue:
@@ -393,12 +400,21 @@ class FiniteGroup:
     def normalizing_elements(
         self, members: set[bytes], gens: Sequence[bytes], candidates: Iterable[int]
     ) -> Iterator[int]:
-        """The candidates g with g^-1 H g = H, lazily and in the given order.
+        """The candidates g with g H g^-1 = H, lazily and in the given order.
 
-        H is given by its member keys and the keys of a generating set; the
-        generators are conjugated on keys and looked up in the member set, so
-        no product goes through the index table.
+        That is the same set as g^-1 H g = H.  H is given by its member keys
+        and the keys of a generating set.  Ops with a ``normalizing_keys``
+        kernel (permutations) test g*h*g^-1 without inverses; for other ops
+        each generator is conjugated on keys through the inverse table.
         """
+        kernel = getattr(self.ops, "normalizing_keys", None)
+        if kernel is not None:
+            return map(self._index.__getitem__, kernel(members, gens, map(self._keys.__getitem__, candidates)))
+        return self._normalizing_by_inverses(members, gens, candidates)
+
+    def _normalizing_by_inverses(
+        self, members: set[bytes], gens: Sequence[bytes], candidates: Iterable[int]
+    ) -> Iterator[int]:
         keys = self._keys
         inverses = self._inverse_table()
         mul = self.ops.mul
@@ -406,7 +422,7 @@ class FiniteGroup:
             gk = keys[g]
             ginv = keys[inverses[g]]
             for h in gens:
-                if mul(mul(ginv, h), gk) not in members:
+                if mul(mul(gk, h), ginv) not in members:
                     break
             else:
                 yield g

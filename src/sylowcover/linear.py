@@ -268,6 +268,9 @@ def _gl_group(n: int, q: int, cap: Optional[int] = None) -> FiniteGroup:
     gens = _sl_generators(f, n)
     if q > 2:
         gens.append(_elementary(f, n, 0, f.generator))
+    if not gens:
+        # GL(1,2) is trivial: it has no transvection and no stretch
+        gens.append(SquareMatrix.identity(f, n))
     return enumerate_group(gens, name=f"GL({n},{q})", cap=cap, order=gl_order(n, q))
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from typing import Iterable, Sequence
+from itertools import compress, repeat, tee
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -184,6 +186,29 @@ class PermutationOps:
 
     def inv(self, a: bytes) -> bytes:
         return invert_key(a)
+
+    def normalizing_keys(self, members: set[bytes], gens: Sequence[bytes], keys: Iterable[bytes]) -> Iterator[bytes]:
+        """The keys g with g*h*g^-1 in H for every generator h, lazily and in order.
+
+        H is given by its member keys and the keys of a generating set.
+        ``h.translate(g + pad)`` is g*h, and the translate table that
+        ``bytes.maketrans(g, g*h)`` builds sends g[i] to g[h[i]]: it is
+        g*h*g^-1 on the points and the identity above them, so no inverse is
+        formed.  It is looked up among H's member keys padded to 256 bytes.
+        The first generator is tested on every key in one chain of C-level
+        maps; only its few survivors meet the other generators in Python.
+        """
+        if not gens:
+            return iter(keys)
+        pad = self._pad
+        tables = {k + pad for k in members}
+        first, *rest = gens
+        keys, probe, padded = tee(keys, 3)
+        conjugates = map(bytes.maketrans, probe, map(first.translate, map(add, padded, repeat(pad))))
+        survivors = compress(keys, map(tables.__contains__, conjugates))
+        if not rest:
+            return survivors
+        return (g for g in survivors if all(bytes.maketrans(g, h.translate(g + pad)) in tables for h in rest))
 
     def wrap(self, key: bytes) -> Permutation:
         return Permutation._from_key(key)

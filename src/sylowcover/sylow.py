@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from heapq import heapify, heappop, heapreplace
 from typing import Optional
 
 from .errors import DomainError
@@ -118,7 +119,8 @@ def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
     keys = group.keys
     index = group.key_index
     mul = group.ops.mul
-    conj = [(keys[group.inv(g)], keys[g]) for g in group.generators]
+    inv = group.ops.inv
+    conj = [(inv(keys[g]), keys[g]) for g in group.generators]
     seen = {base.member_set()}
     sylows = [base]
     for sub in sylows:
@@ -191,15 +193,28 @@ def _cover_masks(system: SylowSystem) -> tuple[list[int], int]:
 
 
 def _greedy_cover(masks: list[int], full: int) -> list[int]:
+    """Repeatedly take the mask covering the most uncovered bits, lowest index on ties.
+
+    A mask's gain only falls as the cover grows, so a heap of
+    (-gain, index) holding stale gains needs only its top entry re-scored
+    (Minoux's lazy greedy): once a fresh entry stays on top, no other mask
+    gains more, and an equal gain on a higher index sorts below it.
+    """
+    heap = [(-(m & full).bit_count(), i) for i, m in enumerate(masks)]
+    heapify(heap)
     chosen: list[int] = []
     uncovered = full
     while uncovered:
-        # max keeps the first of equal gains: ties go to the lowest index
-        best = max(range(len(masks)), key=lambda i: (masks[i] & uncovered).bit_count())
-        if not masks[best] & uncovered:
+        best = None
+        while heap and heap[0] != best:
+            i = heap[0][1]
+            best = (-(masks[i] & uncovered).bit_count(), i)
+            heapreplace(heap, best)
+        if best is None or not best[0]:
             raise RuntimeError("greedy cover stalled; universe not covered by the system")
-        chosen.append(best)
-        uncovered &= ~masks[best]
+        heappop(heap)
+        chosen.append(best[1])
+        uncovered &= ~masks[best[1]]
     return chosen
 
 

@@ -107,6 +107,24 @@ def test_closed_form_order_too_long_to_print_is_bad_input(capsys):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("family", ["Sn", "An"])
+def test_sn_an_order_past_the_float_range_is_bad_input(capsys, family):
+    # lgamma cannot take an n this large; a budget as large lets it past the cap
+    n = str(10**400)
+    code, out, err = run(capsys, "decide", "--family", family, "--n", n, "--p", "2", "--budget", n)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("method", ["auto", "brute"])
+def test_gl_1_2_is_the_trivial_group(capsys, method):
+    # no transvection and no stretch: the identity is its generator
+    report = decide_json(capsys, "--family", "GL", "--n", "1", "--q", "2", "--p", "3", "--method", method)
+    assert (report.order, report.verdict) == (1, "not-redundant")
+    if method == "brute":
+        assert report.nu_p == 1
+
+
 def test_closed_form_witnesses_match_the_element_rendering():
     from sylowcover.symmetric import canonical_element_of_type, unique_sylow_witness
 

@@ -7,6 +7,7 @@ from sylowcover import (
     DomainError,
     Permutation,
     alternating_group,
+    build_family,
     enumerate_group,
     enumerate_sylows,
     find_sylow,
@@ -120,19 +121,26 @@ def test_normalizer_of_whole_group(s4):
     assert s4.normalizer(s4.full_subgroup()).order == s4.order
 
 
-@pytest.mark.parametrize("name", ["S4", "A5", "frobenius21", "g108", "sl23_matrix", "sl28"])
+@pytest.mark.parametrize("name", ["S4", "A5", "A7", "PSL2_25", "frobenius21", "g108", "sl23_matrix", "sl28"])
 def test_normalizer_matches_definition(name, s4):
-    # the definition {g : g^-1 H g = H}, through the index table's mul
+    # the definition {g : g^-1 H g = H}, through the index table's mul; the
+    # permutation groups take the inverse-free kernel, the two matrix
+    # fixtures (sl23_matrix, sl28) the inverse-table loop
     if name == "S4":
         group = s4
     elif name == "A5":
         group = alternating_group(5)
+    elif name == "A7":
+        group = alternating_group(7)
+    elif name == "PSL2_25":
+        group = build_family("PSL2", {"q": 25})
     else:
         group = load_fixture(FIXTURE_DIR / f"{name}.json")
+    assert hasattr(group.ops, "normalizing_keys") == (name not in ("sl23_matrix", "sl28"))
     for p, _ in group.order_factorization():
         sylow = find_sylow(group, p)
         cyclic = group.subgroup_closure([group.p_elements(p)[1]])
-        for sub in (sylow, cyclic):
+        for sub in (sylow, cyclic, group.trivial_subgroup()):
             members = sub.member_set()
             expected = [
                 g for g in range(group.order)

@@ -9,20 +9,25 @@ from sylowcover import (
     DomainError,
     Permutation,
     alternating_group,
+    build_family,
+    class_size_test,
     decide_redundant_bruteforce,
     enumerate_group,
     enumerate_sylows,
     find_sylow,
+    load_fixture,
     minimal_cover,
+    symmetric_group,
 )
 from sylowcover import sylow
 from sylowcover.cli import main
+from sylowcover.criteria import run_structural_criteria
 from sylowcover.groups import FiniteGroup
-from sylowcover.numtheory import factorization
+from sylowcover.numtheory import factorization, p_part
 from sylowcover.perm import PermutationOps
 from sylowcover.sylow import EXACT_COVER_NU_BOUND
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, index_closure
 
 
 
@@ -216,6 +221,41 @@ def test_auto_decide_and_cover_grow_each_sylow_once_on_keys(monkeypatch, capsys)
     capsys.readouterr()
     assert mul_calls == closures == 0
     assert len(grown) == 4 and len({id(group) for group in grown}) == 4
+
+
+def _reference_find_sylow(group, p):
+    """find_sylow's growth, testing x^-1 h x on indices through the inverse table."""
+    members = {group.identity}
+    gens = []
+    while len(members) < p_part(group.order, p):
+        gens.append(next(
+            x for x in group.p_elements(p)
+            if x not in members and all(group.conjugate(h, x) in members for h in gens)
+        ))
+        members = index_closure(group, gens)
+    return frozenset(members)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "A7", "PSL2_25", "frobenius21", "g108", "sl23_matrix", "sl28"])
+def test_find_sylow_matches_the_inverse_table_reference(name):
+    if name in ("S4", "A5", "A7"):
+        group = (symmetric_group if name == "S4" else alternating_group)(int(name[1]))
+    elif name == "PSL2_25":
+        group = build_family("PSL2", {"q": 25})
+    else:
+        group = load_fixture(FIXTURE_DIR / f"{name}.json")
+    for p, _ in group.order_factorization():
+        assert find_sylow(group, p).member_set() == _reference_find_sylow(group, p), (name, p)
+
+
+def test_permutation_paths_build_no_inverse_table():
+    group = alternating_group(7)
+    for p in (2, 3, 5, 7):
+        decide_redundant_bruteforce(group, p)
+        minimal_cover(enumerate_sylows(group, p), "greedy")
+        run_structural_criteria(group, p)
+        class_size_test(group, p, group.p_elements(p)[1])
+    assert group._inv is None
 
 
 def _reference_greedy_cover(masks, full):
