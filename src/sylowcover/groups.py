@@ -1,26 +1,31 @@
 """Finite groups given by generators, fully enumerated.
 
-A :class:`FiniteGroup` owns an element table built by breadth-first closure of
-its generator list, so element indices are deterministic for a fixed generator
-order.  Subgroups, Sylow systems and every result handed out name elements by
-index.  The hot loops (the p-element scan, powers, subgroup closures,
-normalizer membership and conjugation of whole subgroups) run on element keys
-through a small key-level ops object and convert to indices only where a
-result leaves the loop; a key -> index -> key round trip per product would
-cost more than the product.
+Every breadth-first orbit is walked by one routine, :func:`orbit`: the
+element table (the orbit of 1 under right multiplication by the generators),
+conjugacy classes, the Sylow orbit and the block-structure orbit of S_n.  Its
+FIFO order fixes element indices for a fixed generator order, and with them
+the order of the Sylow subgroups, witnesses and cover choices.  Subgroups,
+Sylow systems and every result handed out name elements by index.  The hot
+loops (the p-element scan, powers, subgroup closures, normalizer membership
+and conjugation of whole subgroups) run on element keys through a small
+key-level ops object and convert to indices only where a result leaves the
+loop; a key -> index -> key round trip per product would cost more than the
+product.
 
-The normalizer test is g*h*g^-1 in H for each generator h of H, that is
-g H g^-1 = H; conjugating both sides by g shows this is H = g^-1 H g, so it
-finds the same set as the g^-1*h*g test.
-Permutation ops test it without inverses (``normalizing_keys``), so no
-permutation path builds the whole-group inverse table; matrix groups have no
-inverse-free conjugate and keep the loop over that table.
+Generators act on keys by k -> g^-1*k*g through ``ops.conjugator``, built
+once per group (:meth:`FiniteGroup.conjugators`); only the generators are
+inverted.  The normalizer test is g*h*g^-1 in H for each generator h of H,
+that is g H g^-1 = H; conjugating both sides by g shows this is
+H = g^-1 H g, so it finds the same set as the g^-1*h*g test.  Permutation
+ops test it without inverses (``normalizing_keys``), so no permutation path
+builds the whole-group inverse table; matrix groups have no inverse-free
+conjugate and keep the loop over that table.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
 from .numtheory import factorization, is_prime, p_part
@@ -45,6 +50,27 @@ def resolve_cap(explicit: Optional[int] = None) -> int:
             raise DomainError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_ENUMERATION_CAP
+
+
+def orbit(start, gens: Sequence, act: Callable, limit: Optional[int] = None) -> tuple[list, dict]:
+    """The orbit of ``start`` under ``act(point, g)`` for g in ``gens``, breadth first.
+
+    Returns the points in first-seen order and a dict from each point to its
+    position.  The FIFO order is the one every orbit in this package relies
+    on: element indices, the order of the Sylow subgroups and of block
+    structures.  A point past ``limit`` raises ClosureBudgetExceeded.
+    """
+    points = [start]
+    position = {start: 0}
+    for point in points:
+        for g in gens:
+            image = act(point, g)
+            if image not in position:
+                if len(points) == limit:
+                    raise ClosureBudgetExceeded(limit)
+                position[image] = len(points)
+                points.append(image)
+    return points, position
 
 
 def _check_cap(order: int, cap: Optional[int] = None) -> None:
@@ -191,32 +217,15 @@ class FiniteGroup:
     def __init__(self, ops, generator_keys: Sequence[bytes], name: Optional[str] = None, cap: Optional[int] = None):
         self.ops = ops
         self.name = name
-        cap = resolve_cap(cap)
-        identity = ops.identity_key()
-        keys: list[bytes] = [identity]
-        index: dict[bytes, int] = {identity: 0}
-        gen_keys: list[bytes] = []
-        for k in generator_keys:
-            if k not in gen_keys:
-                gen_keys.append(k)
-        mul = ops.mul
-        # Breadth-first closure; FIFO order makes element indices reproducible.
-        for key in keys:
-            for g in gen_keys:
-                nk = mul(key, g)
-                if nk not in index:
-                    if len(keys) >= cap:
-                        raise ClosureBudgetExceeded(cap)
-                    index[nk] = len(keys)
-                    keys.append(nk)
-        self._keys = keys
-        self._index = index
-        self.order = len(keys)
+        gen_keys = list(dict.fromkeys(generator_keys))
+        # the orbit of 1 under right multiplication; its position dict is the index
+        self._keys, self._index = orbit(ops.identity_key(), gen_keys, ops.mul, resolve_cap(cap))
+        self.order = len(self._keys)
         self.identity = 0
-        self.generators = tuple(index[k] for k in gen_keys)
+        self.generators = tuple(map(self._index.__getitem__, gen_keys))
         self._inv: Optional[list[int]] = None
+        self._conjugators: Optional[list[Callable[[bytes], bytes]]] = None
         self._p_elements: dict[int, list[int]] = {}
-        self._elements: dict[int, object] = {}
         self._centralizers: dict[int, Subgroup] = {}
         # Sylow systems by p; find_sylow's subgroup by p, also when no
         # system was built
@@ -227,11 +236,7 @@ class FiniteGroup:
     # -- element access -------------------------------------------------
 
     def element(self, index: int):
-        obj = self._elements.get(index)
-        if obj is None:
-            obj = self.ops.wrap(self._keys[index])
-            self._elements[index] = obj
-        return obj
+        return self.ops.wrap(self._keys[index])
 
     def index_of(self, element: object) -> int:
         key = self.ops.unwrap(element)
@@ -239,9 +244,6 @@ class FiniteGroup:
         if idx is None:
             raise DomainError(f"{element!r} is not a member of this group")
         return idx
-
-    def key(self, index: int) -> bytes:
-        return self._keys[index]
 
     @property
     def keys(self) -> list[bytes]:
@@ -307,6 +309,12 @@ class FiniteGroup:
         """g^-1 * x * g."""
         return self.mul(self.mul(self.inv(g), x), g)
 
+    def conjugators(self) -> list[Callable[[bytes], bytes]]:
+        """k -> g^-1 * k * g on keys, one per generator in generator order (built once)."""
+        if self._conjugators is None:
+            self._conjugators = [self.ops.conjugator(self._keys[g]) for g in self.generators]
+        return self._conjugators
+
     def order_factorization(self) -> list[tuple[int, int]]:
         if self._order_factorization is None:
             self._order_factorization = factorization(self.order) if self.order > 1 else []
@@ -357,20 +365,8 @@ class FiniteGroup:
         The orbit-stabilizer identity |class| * |centralizer| = |G| is checked
         on every call.
         """
-        keys = self._keys
-        mul = self.ops.mul
-        inv = self.ops.inv
-        conj = [(inv(keys[g]), keys[g]) for g in self.generators]
-        seen = {keys[x]}
-        queue = [keys[x]]
-        for y in queue:
-            for ginv, g in conj:
-                z = mul(mul(ginv, y), g)
-                if z not in seen:
-                    seen.add(z)
-                    queue.append(z)
-        index = self._index
-        cls = tuple(sorted(index[k] for k in seen))
+        _, seen = orbit(self._keys[x], self.conjugators(), lambda k, conjugator: conjugator(k))
+        cls = tuple(sorted(map(self._index.__getitem__, seen)))
         if len(cls) * self.centralizer(x).order != self.order:
             raise RuntimeError("orbit-stabilizer identity violated; group table is corrupt")
         return cls
@@ -466,25 +462,23 @@ class FiniteGroup:
         from .sylow import find_sylow  # local import; sylow builds on this module
 
         keys = self._keys
-        mul = self.ops.mul
-        inv = self.ops.inv
-        conj = [(inv(keys[g]), keys[g]) for g in self.generators]
+        conj = self.conjugators()
         core = {keys[x] for x in find_sylow(self, p).indices}
         while True:
-            kept = {k for k in core if all(mul(mul(ginv, k), g) in core for ginv, g in conj)}
+            kept = {k for k in core if all(c(k) in core for c in conj)}
             if len(kept) == len(core):
                 break
             core = kept
         index = self._index
         return Subgroup(self, [index[k] for k in core])
 
-    def self_check(self, sample: int = 50, seed: int = 0) -> None:
-        """Spot-check table consistency: closure, inverses, associativity."""
+    def self_check(self) -> None:
+        """Spot-check table consistency on 50 seeded triples: closure, inverses, associativity."""
         import random
 
-        rng = random.Random(seed)
+        rng = random.Random(0)
         n = self.order
-        for _ in range(sample):
+        for _ in range(50):
             i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
             ij = self.mul(i, j)
             if not 0 <= ij < n:

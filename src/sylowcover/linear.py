@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
@@ -159,6 +159,11 @@ class MatrixOps:
         if inverse is None:
             raise DomainError("matrix is singular")
         return inverse
+
+    def conjugator(self, g: bytes) -> Callable[[bytes], bytes]:
+        """k -> g^-1 * k * g, with g inverted once."""
+        ginv = self.inv(g)
+        return lambda k: self.mul(self.mul(ginv, k), g)
 
     def wrap(self, key: bytes) -> SquareMatrix:
         return SquareMatrix(self.field, None, _key=key)
@@ -330,7 +335,7 @@ def theorem_51_decide(n: int, q: int, p: int) -> FamilyVerdict:
     return FamilyVerdict("GL", params, False, "n < p: a p-element with distinct eigenvalues fixes a unique frame")
 
 
-def sl2_structure_checks(q: int, cap: Optional[int] = None) -> dict[str, Any]:
+def sl2_structure_checks(q: int) -> dict[str, Any]:
     """Structural facts about the Sylow 2-subgroups of SL(2,q) and PSL(2,q), q odd.
 
     Computes normalizer indices, Sylow counts, and (when q-1, q, q+1 are all
@@ -344,8 +349,8 @@ def sl2_structure_checks(q: int, cap: Optional[int] = None) -> dict[str, Any]:
     char, _ = prime_power_decomposition(q)
     if char == 2:
         raise DomainError("structure checks require odd q")
-    sl = _sl2_group(q, cap=cap)
-    psl = _psl2_group(q, cap=cap)
+    sl = _sl2_group(q)
+    psl = _psl2_group(q)
     report: dict[str, Any] = {"q": q}
     sl_sys = enumerate_sylows(sl, 2)
     psl_sys = enumerate_sylows(psl, 2)
@@ -382,12 +387,12 @@ def sl2_structure_checks(q: int, cap: Optional[int] = None) -> dict[str, Any]:
     return report
 
 
-def wreath_cpcp(p: int, cap: Optional[int] = None) -> FiniteGroup:
+def wreath_cpcp(p: int) -> FiniteGroup:
     """C_p wr C_p as a permutation group on p^2 points."""
     degree = p * p
     base_cycle = Permutation.from_cycles(degree, [tuple(range(1, p + 1))])
     block_shift = Permutation([(i + p) % degree for i in range(degree)])
-    return enumerate_group([base_cycle, block_shift], name=f"C{p} wr C{p}", cap=cap, order=p ** (p + 1))
+    return enumerate_group([base_cycle, block_shift], name=f"C{p} wr C{p}", order=p ** (p + 1))
 
 
 def _frattini_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> KeyClosure:
@@ -438,7 +443,7 @@ def maximal_subgroups_of_p_group(group: FiniteGroup, sub: Subgroup, p: int) -> l
     return sorted((m.subgroup() for m in maximal), key=lambda m: m.indices)
 
 
-def gl_wreath_checks(p: int, q: int, cap: Optional[int] = None, group: Optional[FiniteGroup] = None) -> dict[str, Any]:
+def gl_wreath_checks(p: int, q: int, group: Optional[FiniteGroup] = None) -> dict[str, Any]:
     """Invariants of the Sylow p-subgroup of GL(p,q) when p exactly divides q-1.
 
     Verifies order p^(p+1), exponent p^2, and a unique abelian maximal
@@ -450,16 +455,16 @@ def gl_wreath_checks(p: int, q: int, cap: Optional[int] = None, group: Optional[
         raise HypothesisFailed(f"p must be an odd prime, got {p}")
     if (q - 1) % p != 0 or (q - 1) % (p * p) == 0:
         raise HypothesisFailed(f"p = {p} must exactly divide q-1 = {q - 1}")
-    limit = resolve_cap(cap)
+    limit = resolve_cap()
     report: dict[str, Any] = {"p": p, "q": q}
     if group is not None or gl_order(p, q) <= limit:
         from .sylow import find_sylow
 
         if group is None:
-            group = _gl_group(p, q, cap=cap)
+            group = _gl_group(p, q)
         sylow = find_sylow(group, p)
     else:
-        group = wreath_cpcp(p, cap=cap)
+        group = wreath_cpcp(p)
         sylow = group.full_subgroup()
     report["group"] = group.describe()
     report["sylow_order"] = sylow.order

@@ -12,7 +12,7 @@ import math
 from functools import reduce
 from itertools import compress, repeat, tee
 from operator import add
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -186,6 +186,16 @@ class PermutationOps:
 
     def inv(self, a: bytes) -> bytes:
         return invert_key(a)
+
+    def conjugator(self, g: bytes) -> Callable[[bytes], bytes]:
+        """k -> g^-1 * k * g, with g^-1's 256-byte translate table built once.
+
+        ``bytes.maketrans(g, identity)`` sends g[i] to i and fixes the points
+        above the degree: it is g^-1 as a table.
+        """
+        ginv = bytes.maketrans(g, self._identity)
+        pad = self._pad
+        return lambda k: g.translate(k.translate(ginv) + pad)
 
     def normalizing_keys(self, members: set[bytes], gens: Sequence[bytes], keys: Iterable[bytes]) -> Iterator[bytes]:
         """The keys g with g*h*g^-1 in H for every generator h, lazily and in order.

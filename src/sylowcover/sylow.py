@@ -14,7 +14,7 @@ from heapq import heapify, heappop, heapreplace
 from typing import Optional
 
 from .errors import DomainError
-from .groups import FiniteGroup, KeyClosure, Subgroup
+from .groups import FiniteGroup, KeyClosure, Subgroup, orbit
 from .numtheory import is_prime, p_part
 from .report import DecisionReport
 
@@ -114,22 +114,16 @@ def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
     if cached is not None:
         return cached
     base = find_sylow(group, p)
-    # Conjugate on keys and look each image up once; the member frozenset
-    # doubles as the orbit's dedup key and as the Subgroup's member set.
     keys = group.keys
     index = group.key_index
-    mul = group.ops.mul
-    inv = group.ops.inv
-    conj = [(inv(keys[g]), keys[g]) for g in group.generators]
-    seen = {base.member_set()}
-    sylows = [base]
-    for sub in sylows:
-        member_keys = [keys[x] for x in sub.indices]
-        for ginv, g in conj:
-            image = frozenset([index[mul(mul(ginv, k), g)] for k in member_keys])
-            if image not in seen:
-                seen.add(image)
-                sylows.append(Subgroup(group, image))
+
+    def conjugate(members: frozenset[int], conjugator) -> frozenset[int]:
+        # on keys, each image looked up once; the member frozenset doubles
+        # as the orbit's dedup key and as the Subgroup's member set
+        return frozenset([index[conjugator(keys[x])] for x in members])
+
+    member_sets, _ = orbit(base.member_set(), group.conjugators(), conjugate)
+    sylows = [base] + [Subgroup(group, members) for members in member_sets[1:]]
     nu = len(sylows)
     if nu % p != 1:
         raise RuntimeError(f"Sylow count {nu} violates nu = 1 (mod {p})")

@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterable, Optional
 
 from .errors import DomainError
-from .groups import FiniteGroup, Subgroup
+from .groups import FiniteGroup, Subgroup, orbit
 from .numtheory import is_prime, p_part
 from .perm import Permutation
 
@@ -263,17 +263,8 @@ def base_block_structure(n: int, p: int) -> BlockStructure:
 
 @lru_cache(maxsize=None)
 def _structure_orbit(n: int, p: int) -> tuple[BlockStructure, ...]:
-    base = base_block_structure(n, p)
     gens = [Permutation.from_cycles(n, [(1, 2)]), Permutation.from_cycles(n, [tuple(range(1, n + 1))])]
-    seen = {base}
-    orbit = [base]
-    for structure in orbit:
-        for g in gens:
-            image = structure.apply(g)
-            if image not in seen:
-                seen.add(image)
-                orbit.append(image)
-    return tuple(orbit)
+    return tuple(orbit(base_block_structure(n, p), gens, BlockStructure.apply)[0])
 
 
 def all_block_structures(n: int, p: int) -> list[BlockStructure]:

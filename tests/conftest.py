@@ -5,6 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from sylowcover import (
     alternating_group,
@@ -106,3 +107,11 @@ def index_closure(group, seed) -> frozenset[int]:
                 members.add(y)
                 queue.append(y)
     return frozenset(members)
+
+
+@st.composite
+def permutation_groups(draw):
+    """Generator lists of 2 or 3 random permutations of degree 2..8."""
+    degree = draw(st.integers(min_value=2, max_value=8))
+    count = draw(st.integers(min_value=2, max_value=3))
+    return [draw(st.permutations(range(degree))) for _ in range(count)]

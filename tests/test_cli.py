@@ -231,6 +231,21 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_budget_env_var_leaves_the_cover_node_limit(capsys, monkeypatch):
+    # SYLOWCOVER_BUDGET sets only the enumeration cap; --budget also sets the
+    # exact-cover node limit, and 200 nodes cannot prove g108's cover of 9
+    argv = ["cover", "--fixture", str(FIXTURES / "g108.json"), "--p", "2", "--mode", "exact", "--format", "json"]
+    monkeypatch.setenv("SYLOWCOVER_BUDGET", "200")
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert json.loads(out)["exact"] is True
+    monkeypatch.delenv("SYLOWCOVER_BUDGET")
+    code, out, _ = run(capsys, *argv, "--budget", "200")
+    assert code == EXIT_OK
+    assert json.loads(out)["exact"] is False
+    assert json.loads(out)["size"] == 9
+
+
 def test_cover_greedy_g108(capsys):
     code, out, _ = run(capsys, "cover", "--fixture", str(FIXTURES / "g108.json"),
                        "--p", "2", "--format", "json")
@@ -355,23 +370,38 @@ def test_elapsed_ms_includes_group_build(capsys, monkeypatch, method):
 
 def test_benchmark_tracer_finds_every_traced_name(capsys):
     # the tracer wraps names where cli and the engine look them up, and raises
-    # KeyError for one that is gone
+    # KeyError for one that is gone; a call path that bypasses a wrapped name
+    # would leave its metric at 0 without any error, so every span must fire
     spec = importlib.util.spec_from_file_location("tracer", REPO_ROOT / "perfbench" / "tracer.py")
     tracer_module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer_module)
-    original_main = cli.main
     tracer = tracer_module.Tracer()
+    g108 = str(FIXTURES / "g108.json")
+    commands = [
+        ["decide", "--family", "PSL2", "--q", "7", "--p", "2", "--method", "brute", "--format", "json"],
+        ["decide", "--fixture", g108, "--p", "2", "--format", "json"],
+        ["cover", "--fixture", g108, "--p", "2", "--mode", "exact"],
+        ["decide", "--fixture", str(FIXTURES / "sl23_matrix.json"), "--p", "2"],
+        ["decide", "--family", "Sn", "--n", "9", "--p", "2"],
+        ["decide", "--family", "An", "--n", "9", "--p", "2"],
+        ["decide", "--family", "SL2", "--q", "9", "--p", "2"],
+        ["decide", "--family", "GL", "--n", "3", "--q", "7", "--p", "3"],
+    ]
     try:
         tracer.install()
-        for argv in (["--family", "SL2", "--q", "9"], ["--family", "An", "--n", "9"]):
-            assert cli.main(["decide", *argv, "--p", "2"]) == EXIT_OK
+        patched = list(tracer._patches)
+        for argv in commands:
+            assert cli.main(argv) == EXIT_OK, argv
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert cli.main is original_main
-    metrics = tracer.metrics()
-    assert metrics["linear.closed_form_s"][0] > 0
-    assert metrics["symmetric.closed_form_s"][0] > 0
+    assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
+    # no pipeline path calls FiniteGroup.subgroup_closure, so its span reads 0
+    fired = {span[0] for span in tracer.spans}
+    assert set(tracer_module.SPAN_METRICS) - fired == {"groups.subgroup_closure"}
+    for name in ("perm.mul_calls", "linear.mul_calls", "sylow.find_sylow_calls",
+                 "sylow.enumerate_sylows_calls", "criteria.runs"):
+        assert tracer.counts[name] > 0, name
 
 
 @pytest.mark.parametrize("argv", [

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from sylowcover import load_fixture
 from sylowcover.cli import EXIT_OK, main
 
+from conftest import permutation_groups
 from oracles import compose, inverse, is_p_power_order
 
 sympy_perm = pytest.importorskip("sympy.combinatorics")
@@ -65,13 +66,6 @@ def _engine(argv: list[str]) -> dict:
     with contextlib.redirect_stdout(out):
         assert main([*argv, "--format", "json"]) == EXIT_OK
     return json.loads(out.getvalue())
-
-
-@st.composite
-def permutation_groups(draw):
-    degree = draw(st.integers(min_value=2, max_value=8))
-    count = draw(st.integers(min_value=2, max_value=3))
-    return [draw(st.permutations(range(degree))) for _ in range(count)]
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
