@@ -20,7 +20,6 @@ import functools
 import json
 import sys
 import time
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .criteria import run_structural_criteria
@@ -30,7 +29,8 @@ from .groups import FiniteGroup, _check_cap
 from .linear import theorem_51_decide, theorem_D_decide
 from .numtheory import is_prime
 from .report import CriterionOutcome, DecisionReport
-from .symmetric import theorem_B_decide, theorem_C_decide, unique_sylow_witness
+from .perm import cycle_notation
+from .symmetric import theorem_B_decide, theorem_C_decide, type_cycles, unique_sylow_witness
 from .sylow import decide_redundant_bruteforce, enumerate_sylows, minimal_cover
 
 EXIT_OK = 0
@@ -46,13 +46,6 @@ class Answer(NamedTuple):
     method: str
     witness: Optional[str] = None
     nu_p: Optional[int] = None
-
-
-def _render_type(parts: tuple[int, ...]) -> str:
-    """1-based cycle string of the element of this type on consecutive points."""
-    starts = accumulate(parts, initial=1)
-    cycles = [range(start, start + part) for start, part in zip(starts, parts) if part > 1]
-    return "".join("(" + ",".join(map(str, cycle)) + ")" for cycle in cycles) or "()"
 
 
 def family_fast_decision(name: str, params: dict, p: int, cap: Optional[int] = None) -> Optional[Answer]:
@@ -85,7 +78,8 @@ def family_fast_decision(name: str, params: dict, p: int, cap: Optional[int] = N
     if digits and family.log10_order(**params) >= digits:
         raise DomainError(f"|{family.describe(params)}| has more than {digits} digits to print")
     parts = None if redundant or name not in ("Sn", "An") else unique_sylow_witness(params["n"], p, name)
-    return Answer("redundant" if redundant else "not-redundant", method, _render_type(parts) if parts else None)
+    witness = cycle_notation(type_cycles(parts)) if parts else None
+    return Answer("redundant" if redundant else "not-redundant", method, witness)
 
 
 def _criteria_answer(group: FiniteGroup, p: int) -> tuple[Optional[Answer], list[CriterionOutcome]]:

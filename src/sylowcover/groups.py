@@ -322,31 +322,35 @@ class FiniteGroup:
 
     def element_order(self, i: int) -> int:
         """Least k >= 1 with x^k = identity."""
+        key, one = self._keys[i], self._keys[self.identity]
         fast = getattr(self.ops, "key_order", None)
         if fast is not None:
-            return fast(self._keys[i])
+            return fast(key)
         # Start from |G| and strip prime factors that keep the power trivial.
         order = self.order
         for p, _ in self.order_factorization():
-            while order % p == 0 and self.power(i, order // p) == self.identity:
+            while order % p == 0 and self.key_power(key, order // p) == one:
                 order //= p
         return order
 
-    def _key_is_p_element(self, key: bytes, p: int) -> bool:
-        """Generic test for ops without one: key^(p-part of |G|) = 1."""
-        return self.key_power(key, p_part(self.order, p)) == self._keys[self.identity]
+    def _power_is_one(self, e: int) -> list[int]:
+        """Indices of the x with x^e = identity, ascending, powering keys."""
+        one = self._keys[self.identity]
+        return [i for i, key in enumerate(self._keys) if self.key_power(key, e) == one]
 
     def p_elements(self, p: int) -> list[int]:
         """Indices of all elements of p-power order, identity included, ascending.
 
         Scanned once per p and cached; callers must not mutate the list.
+        Ops without a ``key_is_p_element`` kernel test x^(p-part of |G|) = 1.
         """
         cached = self._p_elements.get(p)
         if cached is None:
             if not is_prime(p):
                 raise DomainError(f"p must be prime, got {p}")
-            test = getattr(self.ops, "key_is_p_element", None) or self._key_is_p_element
-            cached = [i for i, key in enumerate(self._keys) if test(key, p)]
+            test = getattr(self.ops, "key_is_p_element", None)
+            cached = (self._power_is_one(p_part(self.order, p)) if test is None
+                      else [i for i, key in enumerate(self._keys) if test(key, p)])
             self._p_elements[p] = cached
         return cached
 
@@ -354,8 +358,7 @@ class FiniteGroup:
         """Indices of all elements of order coprime to p, ascending."""
         if not is_prime(p):
             raise DomainError(f"p must be prime, got {p}")
-        coprime_part = self.order // p_part(self.order, p)
-        return [i for i in range(self.order) if self.power(i, coprime_part) == self.identity]
+        return self._power_is_one(self.order // p_part(self.order, p))
 
     # -- classes, centralizers, normalizers --------------------------------
 

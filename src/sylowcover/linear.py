@@ -35,7 +35,7 @@ class SquareMatrix:
             return
         flat = _flatten(entries)
         dim = math.isqrt(len(flat))
-        if dim * dim != len(flat):
+        if not flat or dim * dim != len(flat):
             raise DomainError(f"{len(flat)} entries do not form a square matrix")
         if any(not 0 <= e < field_.q for e in flat):
             raise DomainError(f"entries must be field encodings in [0, {field_.q})")

@@ -27,22 +27,29 @@ def invert_key(a: bytes) -> bytes:
     return points.translate(bytes.maketrans(a, points))
 
 
-def cycle_lengths_of_key(a: bytes) -> list[int]:
-    """Cycle lengths including fixed points, in descending order."""
+def cycles_of_key(a: bytes) -> list[tuple[int, ...]]:
+    """Every cycle of a key, fixed points included: 0-based, from its lowest point, ordered by it."""
     seen = bytearray(len(a))
-    lengths = []
-    for start in range(len(a)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
+    cycles = []
+    for j in range(len(a)):
+        cycle = []
         while not seen[j]:
             seen[j] = 1
+            cycle.append(j)
             j = a[j]
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return lengths
+        if cycle:
+            cycles.append(tuple(cycle))
+    return cycles
+
+
+def cycle_lengths_of_key(a: bytes) -> list[int]:
+    """Cycle lengths including fixed points, in descending order."""
+    return sorted(map(len, cycles_of_key(a)), reverse=True)
+
+
+def cycle_notation(cycles: Iterable[Sequence[int]]) -> str:
+    """1-based cycle notation such as ``(1,2,3)(5,6)``: fixed points left out, ``()`` if none moves."""
+    return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles if len(c) > 1) or "()"
 
 
 class Permutation:
@@ -121,28 +128,11 @@ class Permutation:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial disjoint cycles as 0-based point tuples, lowest moved point first."""
-        seen = bytearray(self.degree)
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cycle = [start]
-            seen[start] = 1
-            j = self.key[start]
-            while j != start:
-                seen[j] = 1
-                cycle.append(j)
-                j = self.key[j]
-            if len(cycle) > 1:
-                out.append(tuple(cycle))
-        return out
+        return [c for c in cycles_of_key(self.key) if len(c) > 1]
 
     def cycle_string(self) -> str:
         """1-based disjoint-cycle rendering, e.g. ``(1,2,3,4)(5,6,7,8)``."""
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + ",".join(str(p + 1) for p in c) + ")" for c in cycles)
+        return cycle_notation(cycles_of_key(self.key))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.key == other.key

@@ -9,8 +9,10 @@ p-subgroup exactly when no p-element has multiplicity one.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from heapq import heapify, heappop, heapreplace
+from itertools import chain
 from typing import Optional
 
 from .errors import DomainError
@@ -30,8 +32,12 @@ class SylowSystem:
     p: int
     sylows: list[Subgroup]
     multiplicity: dict[int, int]
-    p_elements: list[int]
     normalizer_order: int
+
+    @property
+    def p_elements(self) -> list[int]:
+        """The p-elements, ascending: the group's scan, cached before the system is built."""
+        return self.group._p_elements[self.p]
 
     @property
     def nu(self) -> int:
@@ -57,14 +63,13 @@ class SylowSystem:
 class CoverResult:
     """Outcome of a Sylow cover search over the p-elements."""
 
-    size: int
     chosen: tuple[int, ...]
     exact: bool
     nodes: int = 0
 
-    def __post_init__(self):
-        if self.size != len(self.chosen):
-            raise DomainError("cover size disagrees with the chosen index list")
+    @property
+    def size(self) -> int:
+        return len(self.chosen)
 
 
 def find_sylow(group: FiniteGroup, p: int) -> Subgroup:
@@ -132,19 +137,15 @@ def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
         raise RuntimeError(
             f"Sylow count {nu} disagrees with normalizer index {group.order // normalizer.order}"
         )
-    multiplicity: dict[int, int] = {}
-    for sub in sylows:
-        for x in sub.indices:
-            multiplicity[x] = multiplicity.get(x, 0) + 1
-    p_els = group.p_elements(p)
-    if set(multiplicity) != set(p_els):
+    # a plain dict, so a missing element still raises KeyError
+    multiplicity = dict(Counter(chain.from_iterable(member_sets)))
+    if set(multiplicity) != set(group.p_elements(p)):
         raise RuntimeError("union of Sylow subgroups does not equal the p-element set")
     system = SylowSystem(
         group=group,
         p=p,
         sylows=sylows,
         multiplicity=multiplicity,
-        p_elements=p_els,
         normalizer_order=normalizer.order,
     )
     group._sylow_cache[p] = system
@@ -176,14 +177,8 @@ def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
 
 def _cover_masks(system: SylowSystem) -> tuple[list[int], int]:
     """Per-Sylow bitmasks over the p-element universe, plus the full mask."""
-    position = {x: i for i, x in enumerate(system.p_elements)}
-    masks = []
-    for sub in system.sylows:
-        m = 0
-        for x in sub.indices:
-            m |= 1 << position[x]
-        masks.append(m)
-    return masks, (1 << len(position)) - 1
+    bit = {x: 1 << i for i, x in enumerate(system.p_elements)}
+    return [sum(map(bit.__getitem__, sub.indices)) for sub in system.sylows], (1 << len(bit)) - 1
 
 
 def _greedy_cover(masks: list[int], full: int) -> list[int]:
@@ -227,7 +222,7 @@ def minimal_cover(system: SylowSystem, mode: str = "greedy", budget: Optional[in
     if mode == "greedy":
         greedy = _greedy_cover(masks, full)
         _verify_cover(masks, full, greedy)
-        return CoverResult(size=len(greedy), chosen=tuple(greedy), exact=(len(greedy) == 1))
+        return CoverResult(chosen=tuple(greedy), exact=(len(greedy) == 1))
     if system.nu > EXACT_COVER_NU_BOUND:
         raise DomainError(
             f"exact cover search is limited to nu <= {EXACT_COVER_NU_BOUND}; "
@@ -239,7 +234,7 @@ def minimal_cover(system: SylowSystem, mode: str = "greedy", budget: Optional[in
     if system.unique_witnesses():
         everything = tuple(range(system.nu))
         _verify_cover(masks, full, everything)
-        return CoverResult(size=system.nu, chosen=everything, exact=True)
+        return CoverResult(chosen=everything, exact=True)
     node_budget = budget if budget is not None else DEFAULT_COVER_NODE_BUDGET
     best = _greedy_cover(masks, full)
     nodes = 0
@@ -276,7 +271,7 @@ def minimal_cover(system: SylowSystem, mode: str = "greedy", budget: Optional[in
 
     descend(0, [])
     _verify_cover(masks, full, best)
-    return CoverResult(size=len(best), chosen=tuple(sorted(best)), exact=not exhausted, nodes=nodes)
+    return CoverResult(chosen=tuple(sorted(best)), exact=not exhausted, nodes=nodes)
 
 
 def _verify_cover(masks: list[int], full: int, chosen: list[int]) -> None:

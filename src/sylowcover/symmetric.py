@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Optional
 
 from .errors import DomainError
@@ -135,16 +136,18 @@ def theorem_B_decide(n: int, p: int, family: str) -> bool:
     return r >= 2 and r % 2 == 0 and exp.digit_sum(r) % 2 == 1
 
 
+def type_cycles(parts: Iterable[int]) -> list[range]:
+    """The cycles of the element of this type on consecutive 0-based points, fixed points included."""
+    parts = tuple(parts)
+    return [range(start, start + part) for start, part in zip(accumulate(parts, initial=0), parts)]
+
+
 def canonical_element_of_type(n: int, parts: Iterable[int]) -> Permutation:
     """The permutation with the given cycle type on consecutive points."""
-    cycles = []
-    start = 0
-    for part in parts:
-        if part > 1:
-            cycles.append(tuple(range(start, start + part)))
-        start += part
-    if start != n:
-        raise DomainError(f"cycle type sums to {start}, not {n}")
+    cycles = type_cycles(parts)
+    total = cycles[-1].stop if cycles else 0
+    if total != n:
+        raise DomainError(f"cycle type sums to {total}, not {n}")
     return Permutation.from_cycles(n, cycles, one_based=False)
 
 
@@ -155,7 +158,8 @@ def unique_sylow_witness(n: int, p: int, family: str = "Sn") -> Optional[tuple[i
     For S_n the type x(n) always works.  For A_n the witness is the even
     member of the distinguished types (x(n) for odd p); None is returned
     when every distinguished type is odd, i.e. when A_n is redundant.
-    ``canonical_element_of_type`` turns the type into an element.
+    ``type_cycles`` lays the type out on consecutive points, and
+    ``canonical_element_of_type`` turns it into an element.
     """
     if family not in ("Sn", "An"):
         raise DomainError(f"family must be Sn or An, got {family!r}")

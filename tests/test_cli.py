@@ -126,7 +126,8 @@ def test_gl_1_2_is_the_trivial_group(capsys, method):
 
 
 def test_closed_form_witnesses_match_the_element_rendering():
-    from sylowcover.symmetric import canonical_element_of_type, unique_sylow_witness
+    from sylowcover.perm import cycle_notation
+    from sylowcover.symmetric import canonical_element_of_type, type_cycles, unique_sylow_witness
 
     for n in range(2, 256):
         for p in (2, 3, 5, 7):
@@ -134,7 +135,7 @@ def test_closed_form_witnesses_match_the_element_rendering():
                 parts = unique_sylow_witness(n, p, family)
                 if parts is not None:
                     expected = canonical_element_of_type(n, parts).cycle_string()
-                    assert cli._render_type(parts) == expected, (n, p, family)
+                    assert cycle_notation(type_cycles(parts)) == expected, (n, p, family)
 
 
 def test_decide_auto_uses_criteria_for_fixture(capsys):

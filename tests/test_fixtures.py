@@ -58,6 +58,7 @@ MALFORMED_FIXTURES = [
     {"kind": "matrix", "q": 3, "dim": None, "generators": [[1, 1, 0, 1]]},
     {"kind": "matrix", "q": 3, "dim": 2, "generators": [[[1, 1], 0]]},
     {"kind": "matrix", "q": 10**30 + 57, "dim": 2, "generators": [[1, 1, 0, 1]]},
+    {"kind": "matrix", "q": 3, "dim": 0, "generators": [[]]},
     {"kind": "family", "name": "Sn", "params": {"n": 10**12}},
     {"kind": "coset"},
 ]

@@ -328,7 +328,7 @@ def test_exact_cover_matches_the_reference_forced_set(request, monkeypatch, name
         greedy_calls.clear()
         cover = minimal_cover(system, "exact")
         if forced:
-            assert cover == CoverResult(system.nu, tuple(everything), exact=True, nodes=0)
+            assert cover == CoverResult(tuple(everything), exact=True, nodes=0)
             assert greedy_calls == []
         else:
             assert cover.exact and cover.nodes > 0 and greedy_calls == [1]
