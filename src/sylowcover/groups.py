@@ -368,11 +368,15 @@ class FiniteGroup:
         The orbit-stabilizer identity |class| * |centralizer| = |G| is checked
         on every call.
         """
-        _, seen = orbit(self._keys[x], self.conjugators(), lambda k, conjugator: conjugator(k))
-        cls = tuple(sorted(map(self._index.__getitem__, seen)))
+        cls = tuple(sorted(map(self._index.__getitem__, self.class_keys(self._keys[x]))))
         if len(cls) * self.centralizer(x).order != self.order:
             raise RuntimeError("orbit-stabilizer identity violated; group table is corrupt")
         return cls
+
+    def class_keys(self, key: bytes) -> list[bytes]:
+        """The keys g^-1 k g of the class of ``key``, in the orbit's first-seen order."""
+        points, _ = orbit(key, self.conjugators(), lambda k, conjugator: conjugator(k))
+        return points
 
     def centralizer(self, x: int) -> Subgroup:
         """All g with gx = xg, as a subgroup (cached per element)."""

@@ -1,9 +1,13 @@
 """Sylow subgroup enumeration, membership multiplicities, and cover search.
 
-The redundancy question is decided from one structure: the
-:class:`SylowSystem`, which lists every Sylow p-subgroup and counts, for each
-p-element, how many of them contain it.  A group has a redundant Sylow
-p-subgroup exactly when no p-element has multiplicity one.
+A group has a redundant Sylow p-subgroup exactly when no p-element lies in
+exactly one Sylow p-subgroup, that is, has multiplicity one.  Two routes
+count multiplicities.  :func:`class_multiplicities` reads them off one
+Sylow subgroup P and the p-classes: m is constant on a class C, and double
+counting gives m_C * |C| = nu * |C ∩ P|.  The brute-force decision takes
+that route.  :func:`enumerate_sylows` builds the :class:`SylowSystem`, which
+lists every Sylow p-subgroup and counts each p-element's multiplicity over
+the list; covers and the criteria that need the subgroups themselves use it.
 """
 
 from __future__ import annotations
@@ -152,15 +156,64 @@ def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
     return system
 
 
+def class_multiplicities(group: FiniteGroup, p: int) -> tuple[int, list[tuple[int, int, int]]]:
+    """nu_p and, for each p-class C, the triple (lowest index in C, |C|, m_C).
+
+    No Sylow subgroup but ``find_sylow``'s P is built.  nu is the index of
+    N_G(P).  The p-elements are scanned in ascending order, and each one not
+    yet labelled starts a walk of its class under conjugation by the
+    generators, on keys.  Every element of C lies in m_C = nu * |C ∩ P| / |C|
+    Sylow subgroups.  Checked on the way, each raising RuntimeError:
+    nu = 1 (mod p); the p-elements, the solutions of x^|P| = 1, number a
+    multiple of |P| (Frobenius); every class meets P (Sylow II); |C| divides
+    nu * |C ∩ P|, with 1 <= m_C <= nu; and the classes partition the
+    p-elements.
+    """
+    sylow = find_sylow(group, p)
+    nu = group.order // group.normalizer(sylow).order
+    if nu % p != 1:
+        raise RuntimeError(f"Sylow count {nu} violates nu = 1 (mod {p})")
+    p_els = group.p_elements(p)
+    if len(p_els) % sylow.order:
+        raise RuntimeError(f"{len(p_els)} p-elements is not a multiple of |P| = {sylow.order}")
+    keys = group.keys
+    members = {keys[x] for x in sylow.indices}
+    labelled: set[bytes] = set()
+    classes = []
+    for x in p_els:
+        key = keys[x]
+        if key in labelled:
+            continue
+        cls = group.class_keys(key)
+        labelled.update(cls)
+        meet = len(members.intersection(cls))
+        if not meet:
+            raise RuntimeError(f"the class of element {x} misses the Sylow subgroup")
+        m, rest = divmod(nu * meet, len(cls))
+        if rest or not 1 <= m <= nu:
+            raise RuntimeError(f"class of element {x}: nu * |C ∩ P| = {nu * meet} over |C| = {len(cls)}")
+        classes.append((x, len(cls), m))
+    if len(labelled) != len(p_els) or sum(size for _, size, _ in classes) != len(p_els):
+        raise RuntimeError("the p-classes do not partition the p-elements")
+    return nu, classes
+
+
 def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
     """Exhaustive decision: redundant iff no p-element has multiplicity one.
 
-    The witness, when one exists, is the lowest-index p-element lying in a
-    unique Sylow p-subgroup.
+    The multiplicities come from :func:`class_multiplicities`, unless a Sylow
+    system for p is already cached on the group (the auto chain's ti-sylow
+    builds one), which is then read instead.  The witness, when one exists,
+    is the lowest-index p-element lying in a unique Sylow p-subgroup: on the
+    class route, the first class representative with multiplicity one.
     """
     start = time.perf_counter()
-    system = enumerate_sylows(group, p)
-    witnesses = system.unique_witnesses()
+    system = group._sylow_cache.get(p)
+    if system is not None:
+        nu, witnesses = system.nu, system.unique_witnesses()
+    else:
+        nu, classes = class_multiplicities(group, p)
+        witnesses = [x for x, _, m in classes if m == 1]
     elapsed = (time.perf_counter() - start) * 1000.0
     return DecisionReport(
         group=group.describe(),
@@ -169,7 +222,7 @@ def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
         verdict="not-redundant" if witnesses else "redundant",
         method="brute-force",
         witness=group.render(witnesses[0]) if witnesses else None,
-        nu_p=system.nu,
+        nu_p=nu,
         criteria=[],
         elapsed_ms=elapsed,
     )

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from sylowcover import cli
-from sylowcover.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_OK, main
+from sylowcover import cli, sylow
+from sylowcover.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_DISAGREEMENT, EXIT_OK, main
 from sylowcover.report import DecisionReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -285,6 +285,23 @@ def test_verify_sn(capsys):
     rows = json.loads(out)
     assert all(row["agree"] for row in rows)
     assert all(row.get("witness_sets_match") for row in rows)
+
+
+def test_verify_sn_exits_1_when_the_orbit_disagrees_with_the_class_route(monkeypatch, capsys):
+    # the class route's nu is off by p, so only the orbit's nu at p = 2 can catch it
+    class_multiplicities = sylow.class_multiplicities
+
+    def off_by_p(group, p):
+        nu, classes = class_multiplicities(group, p)
+        return nu + p, classes
+
+    monkeypatch.setattr(sylow, "class_multiplicities", off_by_p)
+    code, out, _ = run(capsys, "verify", "--family", "Sn", "--p", "2", "--max-n", "4",
+                       "--format", "json")
+    assert code == EXIT_DISAGREEMENT
+    rows = json.loads(out)
+    assert [row["fast"] == row["brute"] for row in rows] == [True] * 3
+    assert all(row["witness_sets_match"] and not row["agree"] for row in rows)
 
 
 def test_verify_sl2(capsys):

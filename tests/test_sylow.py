@@ -180,7 +180,7 @@ def test_brute_decide_scans_once_and_stays_on_keys(monkeypatch):
         calls["scan"] = 0
         decide_redundant_bruteforce(group, p)
         # one p-element scan per (group, p), shared by find_sylow and the
-        # union cross-check
+        # class walk
         assert calls["scan"] == group.order, p
     # closures, generating sets and Subgroup.verify run on element keys too
     # (357 index products while they did not, 39845 when every product did)
