@@ -61,7 +61,6 @@ from .symmetric import (
 from .sylow import (
     CoverResult,
     SylowSystem,
-    class_multiplicities,
     decide_redundant_bruteforce,
     enumerate_sylows,
     find_sylow,
@@ -93,7 +92,6 @@ __all__ = [
     "base_block_structure",
     "build_family",
     "canonical_element_of_type",
-    "class_multiplicities",
     "class_size_test",
     "counting_bound_test",
     "cyclic_quotient_test",

@@ -7,8 +7,9 @@ decide  resolves one group and prints a DecisionReport.  In auto mode the
 cover   searches for a small collection of Sylow p-subgroups covering the
         p-elements (greedy or exact branch-and-bound).
 verify  sweeps a parameter range and cross-checks the closed-form deciders
-        against brute force, and for S_n at p = 2 brute force's class route
-        against the Sylow orbit, exiting nonzero on any disagreement.
+        against brute force (the Sylow system's class view), and for S_n at
+        p = 2 the class view's verdict and witness against its orbit view,
+        exiting nonzero on any disagreement.
 
 Exit codes: 0 success, 1 verification disagreement, 2 malformed input,
 3 enumeration budget exceeded.
@@ -193,16 +194,16 @@ def _verify_case(name: str, params: dict, p: int, budget: Optional[int]) -> dict
     row["nu_p"] = brute.nu_p
     row["agree"] = row["fast"] is None or row["fast"] == brute.verdict
     if name == "Sn" and p == 2:
-        # the Sylow orbit, a second route to the class-route brute answer
+        # the orbit view of brute force's system, a second route to its class-view answer
         system = enumerate_sylows(group, p)
-        witnesses = set(system.unique_witnesses())
+        witnesses = system.unique_witnesses()
         predicted = {
             x for x in system.p_elements
             if theorem_C_decide(group.element(x).cycle_type())
         }
-        row["witness_sets_match"] = predicted == witnesses
-        orbit_answer = (system.nu, "not-redundant" if witnesses else "redundant")
-        row["agree"] = row["agree"] and row["witness_sets_match"] and orbit_answer == (brute.nu_p, brute.verdict)
+        row["witness_sets_match"] = predicted == set(witnesses)
+        orbit_answer = ("not-redundant", group.render(witnesses[0])) if witnesses else ("redundant", None)
+        row["agree"] = row["agree"] and row["witness_sets_match"] and orbit_answer == (brute.verdict, brute.witness)
     return row
 
 

@@ -360,8 +360,9 @@ def sl2_structure_checks(q: int) -> dict[str, Any]:
     report["psl_sylow_order"] = psl_sys.sylow_order
     report["sl_normalizer_index"] = sl_sys.normalizer_order // sl_sys.sylow_order
     report["psl_normalizer_index"] = psl_sys.normalizer_order // psl_sys.sylow_order
-    report["nu2_sl"] = sl_sys.nu
-    report["nu2_psl"] = psl_sys.nu
+    # counted on the orbits, so each is checked against its normalizer index
+    report["nu2_sl"] = len(sl_sys.sylows)
+    report["nu2_psl"] = len(psl_sys.sylows)
     if q > 13:
         expected_index = 3 if q % 8 in (3, 5) else 1
         if report["sl_normalizer_index"] != expected_index:
@@ -372,7 +373,7 @@ def sl2_structure_checks(q: int) -> dict[str, Any]:
             raise RuntimeError(
                 f"PSL(2,{q}) normalizer index {report['psl_normalizer_index']}, expected {expected_index}"
             )
-        if sl_sys.nu != psl_sys.nu:
+        if report["nu2_sl"] != report["nu2_psl"]:
             raise RuntimeError(f"nu_2 differs between SL(2,{q}) and PSL(2,{q})")
     report["centralizer_divisibility_checked"] = False
     if is_two_power_neighbor(q) is None:

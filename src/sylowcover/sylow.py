@@ -1,13 +1,13 @@
-"""Sylow subgroup enumeration, membership multiplicities, and cover search.
+"""The Sylow system of a group at a prime p, and cover search over it.
 
 A group has a redundant Sylow p-subgroup exactly when no p-element lies in
-exactly one Sylow p-subgroup, that is, has multiplicity one.  Two routes
-count multiplicities.  :func:`class_multiplicities` reads them off one
-Sylow subgroup P and the p-classes: m is constant on a class C, and double
-counting gives m_C * |C| = nu * |C ∩ P|.  The brute-force decision takes
-that route.  :func:`enumerate_sylows` builds the :class:`SylowSystem`, which
-lists every Sylow p-subgroup and counts each p-element's multiplicity over
-the list; covers and the criteria that need the subgroups themselves use it.
+exactly one Sylow p-subgroup, that is, has multiplicity one.
+:func:`enumerate_sylows` builds the one :class:`SylowSystem` per (group, p):
+P from :func:`find_sylow`, N_G(P) and nu = |G : N_G(P)|.  Two views are
+built on first use.  ``classes`` reads each p-class C's multiplicity off P,
+since m_C * |C| = nu * |C ∩ P|; brute force reads it.  The orbit view,
+``sylows`` and ``multiplicity``, lists the conjugates of P and counts each
+p-element over them; covers and most criteria read it.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heapreplace
 from itertools import chain
 from typing import Optional
@@ -30,26 +31,88 @@ DEFAULT_COVER_NODE_BUDGET = 2_500_000
 
 @dataclass
 class SylowSystem:
-    """All Sylow p-subgroups of a group plus per-element membership counts."""
+    """P, |N_G(P)| and nu for (group, p); each view is checked when first read."""
 
     group: FiniteGroup
     p: int
-    sylows: list[Subgroup]
-    multiplicity: dict[int, int]
+    sylow: Subgroup
     normalizer_order: int
-
-    @property
-    def p_elements(self) -> list[int]:
-        """The p-elements, ascending: the group's scan, cached before the system is built."""
-        return self.group._p_elements[self.p]
+    p_elements: list[int]  # ascending: the group's cached scan
 
     @property
     def nu(self) -> int:
-        return len(self.sylows)
+        """The number of Sylow p-subgroups, |G : N_G(P)|."""
+        return self.group.order // self.normalizer_order
 
     @property
     def sylow_order(self) -> int:
-        return self.sylows[0].order
+        return self.sylow.order
+
+    @cached_property
+    def classes(self) -> list[tuple[int, int, int]]:
+        """For each p-class C, the triple (lowest index in C, |C|, m_C).
+
+        Each p-element not yet labelled, in ascending order, starts a walk of
+        its class on keys.  Checked, each raising RuntimeError: |P| divides
+        the number of p-elements (Frobenius); every class meets P (Sylow
+        II); |C| divides nu * |C ∩ P|, with 1 <= m_C <= nu; and the classes
+        partition the p-elements.
+        """
+        group, nu = self.group, self.nu
+        p_els = self.p_elements
+        if len(p_els) % self.sylow.order:
+            raise RuntimeError(f"{len(p_els)} p-elements is not a multiple of |P| = {self.sylow.order}")
+        keys = group.keys
+        members = {keys[x] for x in self.sylow.indices}
+        labelled: set[bytes] = set()
+        classes = []
+        for x in p_els:
+            key = keys[x]
+            if key in labelled:
+                continue
+            cls = group.class_keys(key)
+            labelled.update(cls)
+            meet = len(members.intersection(cls))
+            if not meet:
+                raise RuntimeError(f"the class of element {x} misses the Sylow subgroup")
+            m, rest = divmod(nu * meet, len(cls))
+            if rest or not 1 <= m <= nu:
+                raise RuntimeError(f"class of element {x}: nu * |C ∩ P| = {nu * meet} over |C| = {len(cls)}")
+            classes.append((x, len(cls), m))
+        if len(labelled) != len(p_els) or sum(size for _, size, _ in classes) != len(p_els):
+            raise RuntimeError("the p-classes do not partition the p-elements")
+        return classes
+
+    @cached_property
+    def _orbit(self) -> tuple[list[Subgroup], dict[int, int]]:
+        """The conjugates of P and each p-element's count; checks |orbit| = nu and the union."""
+        group = self.group
+        keys = group.keys
+        index = group.key_index
+
+        def conjugate(members: frozenset[int], conjugator) -> frozenset[int]:
+            # on keys, each image looked up once; the member frozenset doubles
+            # as the orbit's dedup key and as the Subgroup's member set
+            return frozenset([index[conjugator(keys[x])] for x in members])
+
+        member_sets, _ = orbit(self.sylow.member_set(), group.conjugators(), conjugate)
+        if len(member_sets) != self.nu:
+            raise RuntimeError(
+                f"orbit of {len(member_sets)} Sylow subgroups disagrees with normalizer index {self.nu}"
+            )
+        # a plain dict, so a missing element still raises KeyError
+        multiplicity = dict(Counter(chain.from_iterable(member_sets)))
+        if set(multiplicity) != set(self.p_elements):
+            raise RuntimeError("union of Sylow subgroups does not equal the p-element set")
+        return [self.sylow] + [Subgroup(group, members) for members in member_sets[1:]], multiplicity
+
+    @property
+    def sylows(self) -> list[Subgroup]:
+        return self._orbit[0]
+
+    @property
+    def multiplicity(self) -> dict[int, int]:
+        return self._orbit[1]
 
     def unique_witnesses(self) -> list[int]:
         """All p-elements lying in exactly one Sylow p-subgroup, ascending."""
@@ -112,108 +175,33 @@ def find_sylow(group: FiniteGroup, p: int) -> Subgroup:
 
 
 def enumerate_sylows(group: FiniteGroup, p: int) -> SylowSystem:
-    """Build the full Sylow system for (group, p), with cross-checks.
+    """The Sylow system for (group, p), built once and cached on the group.
 
-    The subgroup list is the conjugation orbit of ``find_sylow``; its length
-    is verified against the index of the normalizer and against the
-    congruence nu = 1 (mod p), and the multiplicity map is checked to cover
-    every p-element.  Systems are cached on the group.
+    P is ``find_sylow``'s subgroup, and nu is the index of N_G(P), found by
+    one ``normalizer`` call (which verifies P first); nu = 1 (mod p) is
+    checked here.  The views run their own checks when first read.
     """
     cached = group._sylow_cache.get(p)
     if cached is not None:
         return cached
-    base = find_sylow(group, p)
-    keys = group.keys
-    index = group.key_index
-
-    def conjugate(members: frozenset[int], conjugator) -> frozenset[int]:
-        # on keys, each image looked up once; the member frozenset doubles
-        # as the orbit's dedup key and as the Subgroup's member set
-        return frozenset([index[conjugator(keys[x])] for x in members])
-
-    member_sets, _ = orbit(base.member_set(), group.conjugators(), conjugate)
-    sylows = [base] + [Subgroup(group, members) for members in member_sets[1:]]
-    nu = len(sylows)
-    if nu % p != 1:
-        raise RuntimeError(f"Sylow count {nu} violates nu = 1 (mod {p})")
-    normalizer = group.normalizer(base)
-    if nu != group.order // normalizer.order:
-        raise RuntimeError(
-            f"Sylow count {nu} disagrees with normalizer index {group.order // normalizer.order}"
-        )
-    # a plain dict, so a missing element still raises KeyError
-    multiplicity = dict(Counter(chain.from_iterable(member_sets)))
-    if set(multiplicity) != set(group.p_elements(p)):
-        raise RuntimeError("union of Sylow subgroups does not equal the p-element set")
-    system = SylowSystem(
-        group=group,
-        p=p,
-        sylows=sylows,
-        multiplicity=multiplicity,
-        normalizer_order=normalizer.order,
-    )
+    sylow = find_sylow(group, p)
+    system = SylowSystem(group, p, sylow, group.normalizer(sylow).order, group.p_elements(p))
+    if system.nu % p != 1:
+        raise RuntimeError(f"Sylow count {system.nu} violates nu = 1 (mod {p})")
     group._sylow_cache[p] = system
     return system
-
-
-def class_multiplicities(group: FiniteGroup, p: int) -> tuple[int, list[tuple[int, int, int]]]:
-    """nu_p and, for each p-class C, the triple (lowest index in C, |C|, m_C).
-
-    No Sylow subgroup but ``find_sylow``'s P is built.  nu is the index of
-    N_G(P).  The p-elements are scanned in ascending order, and each one not
-    yet labelled starts a walk of its class under conjugation by the
-    generators, on keys.  Every element of C lies in m_C = nu * |C ∩ P| / |C|
-    Sylow subgroups.  Checked on the way, each raising RuntimeError:
-    nu = 1 (mod p); the p-elements, the solutions of x^|P| = 1, number a
-    multiple of |P| (Frobenius); every class meets P (Sylow II); |C| divides
-    nu * |C ∩ P|, with 1 <= m_C <= nu; and the classes partition the
-    p-elements.
-    """
-    sylow = find_sylow(group, p)
-    nu = group.order // group.normalizer(sylow).order
-    if nu % p != 1:
-        raise RuntimeError(f"Sylow count {nu} violates nu = 1 (mod {p})")
-    p_els = group.p_elements(p)
-    if len(p_els) % sylow.order:
-        raise RuntimeError(f"{len(p_els)} p-elements is not a multiple of |P| = {sylow.order}")
-    keys = group.keys
-    members = {keys[x] for x in sylow.indices}
-    labelled: set[bytes] = set()
-    classes = []
-    for x in p_els:
-        key = keys[x]
-        if key in labelled:
-            continue
-        cls = group.class_keys(key)
-        labelled.update(cls)
-        meet = len(members.intersection(cls))
-        if not meet:
-            raise RuntimeError(f"the class of element {x} misses the Sylow subgroup")
-        m, rest = divmod(nu * meet, len(cls))
-        if rest or not 1 <= m <= nu:
-            raise RuntimeError(f"class of element {x}: nu * |C ∩ P| = {nu * meet} over |C| = {len(cls)}")
-        classes.append((x, len(cls), m))
-    if len(labelled) != len(p_els) or sum(size for _, size, _ in classes) != len(p_els):
-        raise RuntimeError("the p-classes do not partition the p-elements")
-    return nu, classes
 
 
 def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
     """Exhaustive decision: redundant iff no p-element has multiplicity one.
 
-    The multiplicities come from :func:`class_multiplicities`, unless a Sylow
-    system for p is already cached on the group (the auto chain's ti-sylow
-    builds one), which is then read instead.  The witness, when one exists,
-    is the lowest-index p-element lying in a unique Sylow p-subgroup: on the
-    class route, the first class representative with multiplicity one.
+    The multiplicities come from the system's class view.  The witness, when
+    one exists, is the first class representative with multiplicity one,
+    which is the lowest-index p-element lying in a unique Sylow p-subgroup.
     """
     start = time.perf_counter()
-    system = group._sylow_cache.get(p)
-    if system is not None:
-        nu, witnesses = system.nu, system.unique_witnesses()
-    else:
-        nu, classes = class_multiplicities(group, p)
-        witnesses = [x for x, _, m in classes if m == 1]
+    system = enumerate_sylows(group, p)
+    witnesses = [x for x, _, m in system.classes if m == 1]
     elapsed = (time.perf_counter() - start) * 1000.0
     return DecisionReport(
         group=group.describe(),
@@ -222,7 +210,7 @@ def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
         verdict="not-redundant" if witnesses else "redundant",
         method="brute-force",
         witness=group.render(witnesses[0]) if witnesses else None,
-        nu_p=nu,
+        nu_p=system.nu,
         criteria=[],
         elapsed_ms=elapsed,
     )

@@ -1,12 +1,13 @@
-"""Class-function multiplicities against the Sylow orbit.
+"""The Sylow system's class view against its orbit view.
 
 m(x), the number of Sylow p-subgroups containing x, is constant on classes,
 and double counting the pairs (y, Q) with y in x^G and Q a Sylow subgroup
 containing y gives m(x) * |x^G| = nu * |x^G ∩ P| for any one Sylow P.  Every
 p-class meets P (Sylow), so each class's multiplicity can be read off P alone.
-These tests check that second route against the orbit's multiplicity map,
-and the brute-force decision, which takes the class route
-(``class_multiplicities``), against the orbit on a second build of the group.
+These tests check that route, in the test and in ``SylowSystem.classes``,
+against the orbit's multiplicity map, and the brute-force decision, which
+reads the class view, against the orbit on a second build of the group.
+Each view is built on first read; the last tests pin which paths build which.
 """
 
 from itertools import count
@@ -17,14 +18,17 @@ from hypothesis import HealthCheck, given, settings
 from sylowcover import (
     alternating_group,
     build_family,
-    class_multiplicities,
+    counting_bound_test,
     decide_redundant_bruteforce,
     enumerate_group,
     enumerate_sylows,
     load_fixture,
+    p_element_count_bound,
+    small_nu_test,
     symmetric_group,
 )
-from sylowcover import cli, criteria, sylow
+from sylowcover import cli, sylow
+from sylowcover.groups import FiniteGroup
 from sylowcover.numtheory import is_prime
 from sylowcover.perm import Permutation
 from sylowcover.report import DecisionReport
@@ -41,6 +45,7 @@ def _check_class_route(group):
         sylow = system.sylows[0].member_set()
         p_elements = set(group.p_elements(p))
         classed: set[int] = set()
+        classes = []
         for x in group.p_elements(p):
             if x in classed:
                 continue
@@ -52,7 +57,9 @@ def _check_class_route(group):
             assert nu * meet % len(cls) == 0, (group, p, x)
             m = nu * meet // len(cls)
             assert all(system.multiplicity[y] == m for y in cls), (group, p, x)
+            classes.append((x, len(cls), m))
         assert classed == p_elements, (group, p)
+        assert system.classes == classes, (group, p)
 
 
 @pytest.mark.parametrize("name", ["frobenius21", "g108", "sl23_matrix", "sl28"])
@@ -93,7 +100,7 @@ def test_class_route_on_random_permutation_groups(gens):
 
 
 def _check_fresh_brute(build):
-    """The brute decision on a group with no Sylow system, against the orbit on a second build.
+    """The brute decision on a fresh group, against the orbit on a second build.
 
     Every p dividing |G| is checked, and the least prime that does not.
     """
@@ -102,14 +109,15 @@ def _check_fresh_brute(build):
     primes.append(next(q for q in count(2) if is_prime(q) and reference.order % q))
     for p in primes:
         report = decide_redundant_bruteforce(fresh, p)
-        assert p not in fresh._sylow_cache, (fresh, p)
+        fresh_system = enumerate_sylows(fresh, p)
+        assert "_orbit" not in vars(fresh_system), (fresh, p)
         system = enumerate_sylows(reference, p)
         witnesses = system.unique_witnesses()
         assert report.nu_p == system.nu, (fresh, p)
         assert report.verdict == ("not-redundant" if witnesses else "redundant"), (fresh, p)
         assert report.witness == (reference.render(witnesses[0]) if witnesses else None), (fresh, p)
-        nu, classes = class_multiplicities(fresh, p)
-        assert nu == system.nu and sum(size for _, size, _ in classes) == len(system.p_elements)
+        classes = fresh_system.classes
+        assert sum(size for _, size, _ in classes) == len(system.p_elements), (fresh, p)
         assert all(system.multiplicity[x] == m for x, _, m in classes), (fresh, p)
 
 
@@ -142,37 +150,52 @@ def _decide_json(capsys, *argv):
     return DecisionReport.from_json(capsys.readouterr().out)
 
 
-def test_brute_builds_no_system_and_auto_reads_ti_sylows(monkeypatch, capsys):
-    calls = {"enumerate_sylows": 0, "class_multiplicities": 0}
-    built = []
+def _views(system) -> set[str]:
+    """The views a system has built so far."""
+    return {"classes", "_orbit"} & set(vars(system))
 
-    def counted(name):
-        real = getattr(sylow, name)
 
-        def wrapper(group, p):
-            calls[name] += 1
-            return real(group, p)
-        return wrapper
+@pytest.fixture
+def watched(monkeypatch):
+    """Every Sylow system built from here on, and the count of normalizer calls."""
+    built: list = []
+    normalizers = [0]
+    normalizer = FiniteGroup.normalizer
 
-    class CountedSystem(sylow.SylowSystem):
+    class WatchedSystem(sylow.SylowSystem):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    enumerate_sylows = counted("enumerate_sylows")
-    for module in (sylow, criteria, cli):
-        monkeypatch.setattr(module, "enumerate_sylows", enumerate_sylows)
-    monkeypatch.setattr(sylow, "class_multiplicities", counted("class_multiplicities"))
-    monkeypatch.setattr(sylow, "SylowSystem", CountedSystem)
+    def counted(group, subgroup):
+        normalizers[0] += 1
+        return normalizer(group, subgroup)
 
+    monkeypatch.setattr(sylow, "SylowSystem", WatchedSystem)
+    monkeypatch.setattr(FiniteGroup, "normalizer", counted)
+    return built, normalizers
+
+
+def test_brute_builds_no_orbit_and_auto_builds_one_system(watched, capsys):
+    built, normalizers = watched
     assert decide_redundant_bruteforce(alternating_group(8), 2).nu_p == 315
     assert _decide_json(capsys, "--method", "brute", "--family", "An", "--n", "8", "--p", "2").nu_p == 315
-    assert calls == {"enumerate_sylows": 0, "class_multiplicities": 2} and not built
+    assert [_views(system) for system in built] == [{"classes"}] * 2 and normalizers == [2]
 
     # g108 at p = 2: cyclic-quotient and ti-sylow are inconclusive, so the
-    # auto chain falls through to brute force, which reads ti-sylow's system
+    # auto chain falls through to brute force, on ti-sylow's system
+    built.clear()
+    normalizers[0] = 0
     report = _decide_json(capsys, "--fixture", str(FIXTURE_DIR / "g108.json"), "--p", "2")
     assert report.method == "brute-force"
     assert [c.name for c in report.criteria] == ["cyclic-quotient", "ti-sylow"]
-    assert len(built) == 1 and report.nu_p == built[0].nu == 27
-    assert calls["class_multiplicities"] == 2
+    assert len(built) == 1 and normalizers == [1] and report.nu_p == built[0].nu == 27
+    assert _views(built[0]) == {"classes", "_orbit"}
+
+
+@pytest.mark.parametrize("criterion", [counting_bound_test, p_element_count_bound, small_nu_test])
+def test_nu_only_criteria_build_no_view(watched, criterion):
+    # S_4 at p = 3: nu = 4 <= 9 and nine 3-elements, so all three criteria run to the end
+    built, normalizers = watched
+    criterion(symmetric_group(4), 3)
+    assert len(built) == 1 and normalizers == [1] and built[0].nu == 4 and _views(built[0]) == set()

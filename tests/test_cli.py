@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import resource
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 from sylowcover import cli, sylow
 from sylowcover.cli import EXIT_BAD_INPUT, EXIT_BUDGET, EXIT_DISAGREEMENT, EXIT_OK, main
+from sylowcover.groups import FiniteGroup
 from sylowcover.report import DecisionReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -288,20 +290,37 @@ def test_verify_sn(capsys):
 
 
 def test_verify_sn_exits_1_when_the_orbit_disagrees_with_the_class_route(monkeypatch, capsys):
-    # the class route's nu is off by p, so only the orbit's nu at p = 2 can catch it
-    class_multiplicities = sylow.class_multiplicities
+    # the identity's class gets a wrong multiplicity; the verdict stays
+    # not-redundant, so only the orbit's lowest witness can catch it
+    classes = sylow.SylowSystem.classes.func
 
-    def off_by_p(group, p):
-        nu, classes = class_multiplicities(group, p)
-        return nu + p, classes
+    def corrupted(system):
+        (x, size, m), *rest = classes(system)
+        return [(x, size, 2 if m == 1 else 1), *rest]
 
-    monkeypatch.setattr(sylow, "class_multiplicities", off_by_p)
+    monkeypatch.setattr(sylow.SylowSystem, "classes", property(corrupted))
     code, out, _ = run(capsys, "verify", "--family", "Sn", "--p", "2", "--max-n", "4",
                        "--format", "json")
     assert code == EXIT_DISAGREEMENT
     rows = json.loads(out)
     assert [row["fast"] == row["brute"] for row in rows] == [True] * 3
     assert all(row["witness_sets_match"] and not row["agree"] for row in rows)
+
+
+def test_verify_sn_builds_one_normalizer_per_group(monkeypatch, capsys):
+    # the class view (brute force) and the orbit view share one system
+    calls = []
+    normalizer = FiniteGroup.normalizer
+
+    def counted(group, subgroup):
+        calls.append(group.order)
+        return normalizer(group, subgroup)
+
+    monkeypatch.setattr(FiniteGroup, "normalizer", counted)
+    code, out, _ = run(capsys, "verify", "--family", "Sn", "--p", "2", "--max-n", "8",
+                       "--format", "json")
+    assert code == EXIT_OK and len(json.loads(out)) == 7
+    assert calls == [math.factorial(n) for n in range(2, 9)]
 
 
 def test_verify_sl2(capsys):

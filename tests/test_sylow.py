@@ -22,7 +22,7 @@ from sylowcover import (
 from sylowcover import sylow
 from sylowcover.cli import main
 from sylowcover.criteria import run_structural_criteria
-from sylowcover.groups import FiniteGroup
+from sylowcover.groups import FiniteGroup, Subgroup
 from sylowcover.numtheory import factorization, p_part
 from sylowcover.perm import PermutationOps
 from sylowcover.sylow import EXACT_COVER_NU_BOUND
@@ -149,6 +149,29 @@ def test_cover_is_verified_cover(g108):
 
 def test_sylow_caching_returns_same_system(s4):
     assert enumerate_sylows(s4, 2) is enumerate_sylows(s4, 2)
+
+
+def test_both_views_catch_a_wrong_normalizer_that_passes_the_congruence(monkeypatch):
+    # S_4 at p = 3 has nu = 4; N_G(P) taken as all of G gives nu = 1, which
+    # is still 1 (mod 3), so only the views can see it
+    monkeypatch.setattr(FiniteGroup, "normalizer", lambda group, sub: Subgroup(group, range(group.order)))
+    system = enumerate_sylows(symmetric_group(4), 3)
+    assert system.nu == 1
+    with pytest.raises(RuntimeError, match="orbit of 4 Sylow subgroups"):
+        system.sylows
+    with pytest.raises(RuntimeError, match=r"= 2 over \|C\| = 8"):
+        system.classes
+
+
+def test_both_views_catch_a_p_element_scan_that_misses_an_element():
+    s4 = symmetric_group(4)
+    find_sylow(s4, 2)
+    s4._p_elements[2] = s4._p_elements[2][:-1]
+    system = enumerate_sylows(s4, 2)
+    with pytest.raises(RuntimeError, match="union of Sylow subgroups"):
+        system.sylows
+    with pytest.raises(RuntimeError, match="not a multiple of"):
+        system.classes
 
 
 def test_s5_and_a5_have_no_redundant_sylow_subgroup():
