@@ -1,16 +1,26 @@
 """Finite groups given by generators, fully enumerated.
 
-Every breadth-first orbit is walked by one routine, :func:`orbit`: the
-element table (the orbit of 1 under right multiplication by the generators),
-conjugacy classes, the Sylow orbit and the block-structure orbit of S_n.  Its
-FIFO order fixes element indices for a fixed generator order, and with them
-the order of the Sylow subgroups, witnesses and cover choices.  Subgroups,
-Sylow systems and every result handed out name elements by index.  The hot
-loops (the p-element scan, powers, subgroup closures, normalizer membership
-and conjugation of whole subgroups) run on element keys through a small
-key-level ops object and convert to indices only where a result leaves the
-loop; a key -> index -> key round trip per product would cost more than the
-product.
+Every breadth-first orbit is walked by one routine, :func:`walk_orbit`: a
+step maps the growing list of points to the stream of their images,
+point-major and generator-minor, and the new points are filtered out of it
+and appended to the same list in one chain of C-level maps.  That is the
+FIFO first-seen order, so it fixes element indices for a fixed generator
+order, and with them the order of the Sylow subgroups, witnesses and cover
+choices.  The ops object supplies the step of the element table (the orbit
+of 1 under right multiplication by the generators); on permutations it is a
+chain of ``bytes.translate`` maps.  Conjugacy classes map the generators'
+cached conjugators over the list.  The Sylow orbit, the block-structure
+orbit of S_n and matrix groups use :func:`orbit`, the same walk with one
+``act(point, g)`` call per image.
+
+Subgroups, Sylow systems and every result handed out name elements by index.
+The hot loops (the p-element scan, powers, subgroup closures, normalizer
+membership and conjugation of whole subgroups) run on element keys through a
+small key-level ops object and convert to indices only where a result leaves
+the loop; a key -> index -> key round trip per product would cost more than
+the product.  The p-element and p'-element scans are one test x^e = 1 over
+the whole table, by ``ops.powers`` with e reduced to its gcd with
+``ops.exponent``, a multiple of every element order.
 
 Generators act on keys by k -> g^-1*k*g through ``ops.conjugator``, built
 once per group (:meth:`FiniteGroup.conjugators`); only the generators are
@@ -24,7 +34,9 @@ conjugate and keep the loop over that table.
 
 from __future__ import annotations
 
+import math
 import os
+from itertools import chain, compress, count, filterfalse, islice, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
@@ -52,25 +64,47 @@ def resolve_cap(explicit: Optional[int] = None) -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
-def orbit(start, gens: Sequence, act: Callable, limit: Optional[int] = None) -> tuple[list, dict]:
-    """The orbit of ``start`` under ``act(point, g)`` for g in ``gens``, breadth first.
+def walk_orbit(start, step: Callable[[list], Iterable], limit: Optional[int] = None) -> tuple[list, dict]:
+    """The orbit of ``start``, breadth first, as one chain of C-level maps fed by its own output.
 
-    Returns the points in first-seen order and a dict from each point to its
-    position.  The FIFO order is the one every orbit in this package relies
-    on: element indices, the order of the Sylow subgroups and of block
-    structures.  A point past ``limit`` raises ClosureBudgetExceeded.
+    ``step`` maps the list of points found so far to the stream of their
+    images, point-major and generator-minor, reading the list lazily: a
+    point is read only once the images of the points before it have been
+    drawn.  Each image not seen yet is filed in the position dict and
+    appended to the list before the next image is drawn, so the list is the
+    FIFO queue of a breadth-first walk and comes out in its first-seen
+    order, the one every orbit in this package relies on: element indices,
+    the order of the Sylow subgroups and of block structures.  That order
+    comes from list and dict insertion order alone, never from hashing.
+    The set-up is a few C calls per walk, not per point or per level.
+
+    Returns the points in that order and a dict from each point to its
+    position.  A point past ``limit`` raises ClosureBudgetExceeded; at most
+    ``limit + 1`` points are ever held.
     """
     points = [start]
     position = {start: 0}
-    for point in points:
-        for g in gens:
-            image = act(point, g)
-            if image not in position:
-                if len(points) == limit:
-                    raise ClosureBudgetExceeded(limit)
-                position[image] = len(points)
-                points.append(image)
+    # the walk relies on CPython's list.extend appending each item before it
+    # draws the next, so that step(points) reads the points appended so far;
+    # the language does not promise this, and tests/test_batched_paths.py
+    # pins it by comparing every walk with the plain FIFO loop
+    fresh, probe = tee(filterfalse(position.__contains__, step(points)))
+    # setdefault files each new point under its position, which is never 0,
+    # so compress keeps every point that passed the filter
+    points.extend(islice(compress(fresh, map(position.setdefault, probe, count(1))), limit))
+    if limit is not None and len(points) > limit:
+        raise ClosureBudgetExceeded(limit)
     return points, position
+
+
+def pointwise_step(gens: Sequence, act: Callable) -> Callable[[list], Iterator]:
+    """The step of ``act(point, g)`` for g in ``gens``, one call per image, for :func:`walk_orbit`."""
+    return lambda points: (act(x, g) for x in points for g in gens)
+
+
+def orbit(start, gens: Sequence, act: Callable, limit: Optional[int] = None) -> tuple[list, dict]:
+    """The orbit of ``start`` under ``act(point, g)`` for g in ``gens``; see :func:`walk_orbit`."""
+    return walk_orbit(start, pointwise_step(gens, act), limit)
 
 
 def _check_cap(order: int, cap: Optional[int] = None) -> None:
@@ -219,7 +253,7 @@ class FiniteGroup:
         self.name = name
         gen_keys = list(dict.fromkeys(generator_keys))
         # the orbit of 1 under right multiplication; its position dict is the index
-        self._keys, self._index = orbit(ops.identity_key(), gen_keys, ops.mul, resolve_cap(cap))
+        self._keys, self._index = walk_orbit(ops.identity_key(), ops.multiplication_step(gen_keys), resolve_cap(cap))
         self.order = len(self._keys)
         self.identity = 0
         self.generators = tuple(map(self._index.__getitem__, gen_keys))
@@ -293,17 +327,8 @@ class FiniteGroup:
         return self._index[self.key_power(self._keys[i], e)]
 
     def key_power(self, key: bytes, e: int) -> bytes:
-        """key^e for e >= 0, by squaring and multiplying on keys."""
-        mul = self.ops.mul
-        result = None
-        while e:
-            if e & 1:
-                # powers of one element commute, so the order of factors is free
-                result = key if result is None else mul(result, key)
-            e >>= 1
-            if e:
-                key = mul(key, key)
-        return self._keys[self.identity] if result is None else result
+        """key^e for e >= 0, on keys."""
+        return next(self.ops.powers((key,), e))
 
     def conjugate(self, x: int, g: int) -> int:
         """g^-1 * x * g."""
@@ -334,23 +359,26 @@ class FiniteGroup:
         return order
 
     def _power_is_one(self, e: int) -> list[int]:
-        """Indices of the x with x^e = identity, ascending, powering keys."""
+        """Indices of the x with x^e = identity, ascending: one scan of the table by ``ops.powers``.
+
+        x^e = 1 exactly when the order of x divides e, and every order
+        divides ``ops.exponent``, so the scan powers by their gcd: for
+        permutations of degree n, by a divisor of lcm(1..n).
+        """
         one = self._keys[self.identity]
-        return [i for i, key in enumerate(self._keys) if self.key_power(key, e) == one]
+        return list(compress(count(), map(one.__eq__, self.ops.powers(self._keys, math.gcd(e, self.ops.exponent)))))
 
     def p_elements(self, p: int) -> list[int]:
         """Indices of all elements of p-power order, identity included, ascending.
 
-        Scanned once per p and cached; callers must not mutate the list.
-        Ops without a ``key_is_p_element`` kernel test x^(p-part of |G|) = 1.
+        The x with x^(p-part of |G|) = 1, scanned once per p and cached;
+        callers must not mutate the list.
         """
         cached = self._p_elements.get(p)
         if cached is None:
             if not is_prime(p):
                 raise DomainError(f"p must be prime, got {p}")
-            test = getattr(self.ops, "key_is_p_element", None)
-            cached = (self._power_is_one(p_part(self.order, p)) if test is None
-                      else [i for i, key in enumerate(self._keys) if test(key, p)])
+            cached = self._power_is_one(p_part(self.order, p))
             self._p_elements[p] = cached
         return cached
 
@@ -375,8 +403,8 @@ class FiniteGroup:
 
     def class_keys(self, key: bytes) -> list[bytes]:
         """The keys g^-1 k g of the class of ``key``, in the orbit's first-seen order."""
-        points, _ = orbit(key, self.conjugators(), lambda k, conjugator: conjugator(k))
-        return points
+        conjugators = self.conjugators()
+        return walk_orbit(key, lambda points: chain.from_iterable(zip(*[map(c, points) for c in conjugators])))[0]
 
     def centralizer(self, x: int) -> Subgroup:
         """All g with gx = xg, as a subgroup (cached per element)."""

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from itertools import repeat
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
-from .groups import FiniteGroup, KeyClosure, Subgroup, enumerate_group, resolve_cap
+from .groups import FiniteGroup, KeyClosure, Subgroup, enumerate_group, pointwise_step, resolve_cap
 from .numtheory import is_prime, prime_power_decomposition
 from .perm import Permutation
 
@@ -125,6 +126,10 @@ class MatrixOps:
     def __init__(self, field_: Field, dim: int):
         self.field = field_
         self.dim = dim
+        self._identity = bytes(1 if i % (dim + 1) == 0 else 0 for i in range(dim * dim))
+        # |GL(dim, q)|, a multiple of every element order
+        q = field_.q
+        self.exponent = math.prod(q**dim - q**i for i in range(dim))
 
     @classmethod
     def for_shape(cls, field_: Field, dim: int) -> "MatrixOps":
@@ -136,8 +141,7 @@ class MatrixOps:
         return inst
 
     def identity_key(self) -> bytes:
-        n = self.dim
-        return bytes(1 if i % (n + 1) == 0 else 0 for i in range(n * n))
+        return self._identity
 
     def mul(self, a: bytes, b: bytes) -> bytes:
         n = self.dim
@@ -164,6 +168,25 @@ class MatrixOps:
         """k -> g^-1 * k * g, with g inverted once."""
         ginv = self.inv(g)
         return lambda k: self.mul(self.mul(ginv, k), g)
+
+    def multiplication_step(self, gens: Sequence[bytes]) -> Callable[[list[bytes]], Iterator[bytes]]:
+        """The walk step of right multiplication, one product per image."""
+        return pointwise_step(gens, self.mul)
+
+    def powers(self, keys: Iterable[bytes], e: int) -> Iterator[bytes]:
+        """k^e for each key, lazily, by squaring and multiplying one key at a time."""
+        return map(self._power, keys, repeat(e))
+
+    def _power(self, key: bytes, e: int) -> bytes:
+        result = None
+        while e:
+            if e & 1:
+                # powers of one element commute, so the order of factors is free
+                result = key if result is None else self.mul(result, key)
+            e >>= 1
+            if e:
+                key = self.mul(key, key)
+        return self._identity if result is None else result
 
     def wrap(self, key: bytes) -> SquareMatrix:
         return SquareMatrix(self.field, None, _key=key)

@@ -1,16 +1,20 @@
 """Permutations of {0..n-1} backed by byte strings.
 
 A permutation is stored as ``bytes`` where byte ``i`` is the image of point
-``i``.  Composition is delegated to ``bytes.translate``, which keeps the hot
-loops of group enumeration in C.  Degrees are capped at 255 accordingly; the
-groups this package enumerates act on far fewer points.
+``i``.  Composition is delegated to ``bytes.translate``, and the group
+engine's hot loops run as chains of C-level maps over whole lists of keys:
+the step of the element-table walk, the x^e = 1 scan
+(:meth:`PermutationOps.powers`) and the normalizer test.  The chains stay
+lazy, so no list of 256-byte translate tables is built.  Degrees are capped
+at 255 accordingly; the groups this package enumerates act on far fewer
+points.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import compress, repeat, tee
+from itertools import chain, compress, repeat, tee
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -157,8 +161,8 @@ class PermutationOps:
         # translate() wants a full 256-byte table: a key plus this suffix
         self._pad = _RANGE256[degree:]
         self._identity = _RANGE256[:degree]
-        # p -> largest power of p that is <= degree (1 when p > degree)
-        self._cycle_bound: dict[int, int] = {}
+        # a multiple of every element order: no cycle is longer than the degree
+        self.exponent = math.lcm(*range(1, degree + 1))
 
     @classmethod
     def for_degree(cls, degree: int) -> "PermutationOps":
@@ -187,28 +191,69 @@ class PermutationOps:
         pad = self._pad
         return lambda k: g.translate(k.translate(ginv) + pad)
 
+    def multiplication_step(self, gens: Sequence[bytes]) -> Callable[[list[bytes]], Iterator[bytes]]:
+        """The walk step of right multiplication: k*g for each key, then each generator.
+
+        Each key is padded to a 256-byte translate table once, and ``tee``
+        hands the padded table to one ``g.translate`` map per generator, so
+        the step runs in C and no list of padded tables is built.
+        """
+        pad = self._pad
+        translates = [g.translate for g in gens]
+        return lambda points: chain.from_iterable(
+            zip(*map(map, translates, tee(map(add, points, repeat(pad)), len(translates))))
+        )
+
+    def powers(self, keys: Iterable[bytes], e: int) -> Iterator[bytes]:
+        """k^e for each key and e >= 0, lazily, as one square-and-multiply chain of C-level maps.
+
+        x^e = x^(e mod exponent), so e is reduced first.  ``tee`` feeds each
+        key to both factors of a product, so the chain holds only a few keys
+        at a time.
+        """
+        e %= self.exponent
+        if not e:
+            return (self._identity for _ in keys)
+        pad = self._pad
+        base = iter(keys)
+        result = None
+        while True:
+            if e & 1:
+                if e == 1:
+                    factor = base
+                else:
+                    base, factor = tee(base)
+                # powers of one element commute, so the order of factors is free
+                result = factor if result is None else map(bytes.translate, factor, map(add, result, repeat(pad)))
+            e >>= 1
+            if not e:
+                return result
+            base, padded = tee(base)
+            base = map(bytes.translate, base, map(add, padded, repeat(pad)))
+
     def normalizing_keys(self, members: set[bytes], gens: Sequence[bytes], keys: Iterable[bytes]) -> Iterator[bytes]:
         """The keys g with g*h*g^-1 in H for every generator h, lazily and in order.
 
         H is given by its member keys and the keys of a generating set.
         ``h.translate(g + pad)`` is g*h, and the translate table that
         ``bytes.maketrans(g, g*h)`` builds sends g[i] to g[h[i]]: it is
-        g*h*g^-1 on the points and the identity above them, so no inverse is
-        formed.  It is looked up among H's member keys padded to 256 bytes.
-        The first generator is tested on every key in one chain of C-level
-        maps; only its few survivors meet the other generators in Python.
+        g*h*g^-1 on the points, so no inverse is formed.  Translating the
+        identity key through it gives g*h*g^-1 as a key, which is looked up
+        among H's member keys.  The first generator is tested on every key
+        in one chain of C-level maps; only its few survivors meet the other
+        generators in Python.
         """
         if not gens:
             return iter(keys)
         pad = self._pad
-        tables = {k + pad for k in members}
+        cut = self._identity.translate
         first, *rest = gens
         keys, probe, padded = tee(keys, 3)
-        conjugates = map(bytes.maketrans, probe, map(first.translate, map(add, padded, repeat(pad))))
-        survivors = compress(keys, map(tables.__contains__, conjugates))
+        conjugates = map(cut, map(bytes.maketrans, probe, map(first.translate, map(add, padded, repeat(pad)))))
+        survivors = compress(keys, map(members.__contains__, conjugates))
         if not rest:
             return survivors
-        return (g for g in survivors if all(bytes.maketrans(g, h.translate(g + pad)) in tables for h in rest))
+        return (g for g in survivors if all(cut(bytes.maketrans(g, h.translate(g + pad))) in members for h in rest))
 
     def wrap(self, key: bytes) -> Permutation:
         return Permutation._from_key(key)
@@ -220,30 +265,6 @@ class PermutationOps:
 
     def key_order(self, a: bytes) -> int:
         return reduce(math.lcm, cycle_lengths_of_key(a), 1)
-
-    def key_is_p_element(self, a: bytes, p: int) -> bool:
-        """Whether a^(p^k) = 1 for the largest power p^k <= degree.
-
-        No cycle is longer than the degree, so every cycle length is a power
-        of p exactly when it divides p^k.  Squaring and multiplying by
-        ``bytes.translate`` keeps the test in C.
-        """
-        e = self._cycle_bound.get(p)
-        if e is None:
-            e = 1
-            while e * p <= self.degree:
-                e *= p
-            self._cycle_bound[p] = e
-        pad = self._pad
-        power = None
-        while True:
-            if e & 1:
-                # powers of one element commute, so the order of factors is free
-                power = a if power is None else a.translate(power + pad)
-            e >>= 1
-            if not e:
-                return power == self._identity
-            a = a.translate(a + pad)
 
     def render(self, key: bytes) -> str:
         return Permutation._from_key(key).cycle_string()

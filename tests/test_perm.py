@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -82,14 +84,16 @@ def test_cycle_type_is_conjugation_invariant(x, g):
 
 @pytest.mark.parametrize("build", [lambda: symmetric_group(7), lambda: build_family("PSL2", {"q": 25})],
                          ids=["S7", "PSL(2,25)"])
-def test_key_is_p_element_matches_cycle_definition(build):
+def test_batched_scan_matches_cycle_definition(build):
     # every p up to degree + 2 covers p > degree, p^k = degree (S_7 at p = 7)
-    # and p^k just below the degree (PSL(2,25) on 26 points at p = 5)
+    # and p^k just below the degree (PSL(2,25) on 26 points at p = 5); the
+    # p'-scan powers by the p'-part of |G|, reduced to divide lcm(1..degree)
     group = build()
-    ops = group.ops
-    for p in filter(is_prime, range(2, ops.degree + 3)):
-        for key in group.keys:
-            assert ops.key_is_p_element(key, p) == is_p_power_order(tuple(key), p), (key, p)
+    for p in filter(is_prime, range(2, group.ops.degree + 3)):
+        p_elements = [i for i, key in enumerate(group.keys) if is_p_power_order(tuple(key), p)]
+        coprime = [i for i, key in enumerate(group.keys) if math.gcd(oracle_order(tuple(key)), p) == 1]
+        assert group.p_elements(p) == p_elements, p
+        assert group.p_prime_elements(p) == coprime, p
 
 
 @given(st.integers(1, 255).flatmap(lambda n: st.permutations(range(n))))

@@ -186,25 +186,28 @@ def test_s5_and_a5_have_no_redundant_sylow_subgroup():
 
 def test_brute_decide_scans_once_and_stays_on_keys(monkeypatch):
     calls = {"scan": 0, "mul": 0}
-    scan, mul = PermutationOps.key_is_p_element, FiniteGroup.mul
+    scanned = []
+    scan, mul = PermutationOps.powers, FiniteGroup.mul
 
-    def counted_scan(self, key, p):
+    def counted_scan(self, keys, e):
         calls["scan"] += 1
-        return scan(self, key, p)
+        scanned.append(len(keys))
+        return scan(self, keys, e)
 
     def counted_mul(self, i, j):
         calls["mul"] += 1
         return mul(self, i, j)
 
-    monkeypatch.setattr(PermutationOps, "key_is_p_element", counted_scan)
+    monkeypatch.setattr(PermutationOps, "powers", counted_scan)
     monkeypatch.setattr(FiniteGroup, "mul", counted_mul)
     group = alternating_group(7)
     for p in (2, 3, 5, 7):
         calls["scan"] = 0
         decide_redundant_bruteforce(group, p)
-        # one p-element scan per (group, p), shared by find_sylow and the
-        # class walk
-        assert calls["scan"] == group.order, p
+        # one batched p-element scan per (group, p), over the whole table and
+        # shared by find_sylow and the class walk
+        assert calls["scan"] == 1, p
+    assert scanned == [group.order] * 4
     # closures, generating sets and Subgroup.verify run on element keys too
     # (357 index products while they did not, 39845 when every product did)
     assert calls["mul"] == 0
