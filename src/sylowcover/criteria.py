@@ -62,9 +62,9 @@ def navarro_test(group: FiniteGroup, p: int, x: Optional[int] = None) -> Criteri
     """Centralizer containment: a unique-Sylow element has C_G(x) <= N_G(P).
 
     With an element given, reports whether the containment fails (which rules
-    x out as a unique-Sylow witness).  Without one, scans a representative of
-    every conjugacy class of p-elements; if containment fails for all of
-    them, no unique-Sylow element exists and the group is redundant.
+    x out as a unique-Sylow witness).  Without one, scans the representative
+    of every p-class in the system's class view, checking orbit-stabilizer;
+    if containment fails for all of them, the group is redundant.
     """
     system = enumerate_sylows(group, p)
     normalizer_cache: dict[Subgroup, frozenset[int]] = {}
@@ -91,15 +91,13 @@ def navarro_test(group: FiniteGroup, p: int, x: Optional[int] = None) -> Criteri
             raise RuntimeError("containment failed for a unique-Sylow element")
         return CriterionOutcome("navarro", True, "inconclusive", evidence)
 
-    seen: set[int] = set()
     failing_everywhere = True
     checked = 0
-    for y in system.p_elements:
-        if y in seen:
-            continue
-        cls = group.conjugacy_class(y)
-        seen.update(cls)
+    for y, size, _ in system.classes:
         checked += 1
+        # contained(y) builds C_G(y) anyway, so orbit-stabilizer costs nothing more
+        if size * group.centralizer(y).order != group.order:
+            raise RuntimeError("orbit-stabilizer identity violated; group table is corrupt")
         if contained(y):
             failing_everywhere = False
             break

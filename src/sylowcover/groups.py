@@ -8,19 +8,20 @@ FIFO first-seen order, so it fixes element indices for a fixed generator
 order, and with them the order of the Sylow subgroups, witnesses and cover
 choices.  The ops object supplies the step of the element table (the orbit
 of 1 under right multiplication by the generators); on permutations it is a
-chain of ``bytes.translate`` maps.  Conjugacy classes map the generators'
-cached conjugators over the list.  The Sylow orbit, the block-structure
-orbit of S_n and matrix groups use :func:`orbit`, the same walk with one
-``act(point, g)`` call per image.
+chain of ``bytes.translate`` maps.  A subgroup closure (:class:`KeyClosure`)
+is that same walk under the subgroup's generators.  Conjugacy classes map
+the generators' cached conjugators over the list.  The Sylow orbit, the
+block-structure orbit of S_n and matrix groups use :func:`orbit`, the same
+walk with one ``act(point, g)`` call per image.
 
 Subgroups, Sylow systems and every result handed out name elements by index.
 The hot loops (the p-element scan, powers, subgroup closures, normalizer
-membership and conjugation of whole subgroups) run on element keys through a
-small key-level ops object and convert to indices only where a result leaves
-the loop; a key -> index -> key round trip per product would cost more than
-the product.  The p-element and p'-element scans are one test x^e = 1 over
-the whole table, by ``ops.powers`` with e reduced to its gcd with
-``ops.exponent``, a multiple of every element order.
+membership and the Sylow orbit, which conjugates P's key set) run on element
+keys through a small key-level ops object and convert to indices only where
+a result leaves the loop; a key -> index -> key round trip per product would
+cost more than the product.  The p-element and p'-element scans are one test
+x^e = 1 over the whole table, by ``ops.powers`` with e reduced to its gcd
+with ``ops.exponent``, a multiple of every element order.
 
 Generators act on keys by k -> g^-1*k*g through ``ops.conjugator``, built
 once per group (:meth:`FiniteGroup.conjugators`); only the generators are
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import chain, compress, count, filterfalse, islice, tee
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
 from .numtheory import factorization, is_prime, p_part
@@ -200,49 +201,33 @@ class Subgroup:
 class KeyClosure:
     """A subgroup grown on element keys, one generator at a time.
 
-    ``members`` is always the subgroup generated by ``gens``; ``elements``
-    lists the same keys.  ``add`` adjoins a key outside it: the old subgroup
-    H splits the new one into right cosets H*w, so only one product w*s per
-    coset representative w and generator s is tested, and each new coset
-    H*w is filled by |H| products that cannot meet the old members.  A
-    subgroup grown this way costs about one product per member, where a
-    breadth-first closure costs one per member and generator.
+    ``members`` is always the subgroup generated by ``gens``, as the
+    position dict of its walk; ``elements`` lists the same keys in walk
+    order.  ``add`` adjoins a key outside it and re-walks the orbit of 1
+    under right multiplication by the grown generator list, the same
+    :func:`walk_orbit` and ``ops.multiplication_step`` that build the
+    element table.  ``members`` is replaced, not updated, by each ``add``.
     """
 
-    __slots__ = ("_group", "_mul", "members", "elements", "gens")
+    __slots__ = ("_group", "members", "elements", "gens")
 
     def __init__(self, group: "FiniteGroup"):
         identity = group.keys[group.identity]
         self._group = group
-        self._mul = group.ops.mul
-        self.members = {identity}
+        self.members = {identity: 0}
         self.elements = [identity]
         self.gens: list[bytes] = []
 
     def add(self, key: bytes) -> bool:
         """Adjoin ``key``; False (and no work) when it is already a member."""
-        members = self.members
-        if key in members:
+        if key in self.members:
             return False
-        mul = self._mul
-        base = self.elements[:]
-        gens = self.gens
-        gens.append(key)
-        reps = [base[0]]
-        for w in reps:
-            for s in gens:
-                ws = mul(w, s)
-                if ws not in members:
-                    # (H*w)*s = H*(w*s); cosets of H are equal or disjoint
-                    coset = [mul(h, ws) for h in base]
-                    members.update(coset)
-                    self.elements.extend(coset)
-                    reps.append(ws)
+        self.gens.append(key)
+        self.elements, self.members = walk_orbit(self.elements[0], self._group.ops.multiplication_step(self.gens))
         return True
 
     def subgroup(self) -> Subgroup:
-        index = self._group.key_index
-        return Subgroup(self._group, [index[k] for k in self.elements])
+        return Subgroup(self._group, map(self._group.key_index.__getitem__, self.elements))
 
 
 class FiniteGroup:
@@ -429,7 +414,7 @@ class FiniteGroup:
         return Subgroup(self, self.normalizing_elements(members, gens, range(self.order)))
 
     def normalizing_elements(
-        self, members: set[bytes], gens: Sequence[bytes], candidates: Iterable[int]
+        self, members: Container[bytes], gens: Sequence[bytes], candidates: Iterable[int]
     ) -> Iterator[int]:
         """The candidates g with g H g^-1 = H, lazily and in the given order.
 
@@ -444,7 +429,7 @@ class FiniteGroup:
         return self._normalizing_by_inverses(members, gens, candidates)
 
     def _normalizing_by_inverses(
-        self, members: set[bytes], gens: Sequence[bytes], candidates: Iterable[int]
+        self, members: Container[bytes], gens: Sequence[bytes], candidates: Iterable[int]
     ) -> Iterator[int]:
         keys = self._keys
         inverses = self._inverse_table()

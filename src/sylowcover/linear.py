@@ -128,8 +128,7 @@ class MatrixOps:
         self.dim = dim
         self._identity = bytes(1 if i % (dim + 1) == 0 else 0 for i in range(dim * dim))
         # |GL(dim, q)|, a multiple of every element order
-        q = field_.q
-        self.exponent = math.prod(q**dim - q**i for i in range(dim))
+        self.exponent = gl_order(dim, field_.q)
 
     @classmethod
     def for_shape(cls, field_: Field, dim: int) -> "MatrixOps":
@@ -362,7 +361,8 @@ def sl2_structure_checks(q: int) -> dict[str, Any]:
     """Structural facts about the Sylow 2-subgroups of SL(2,q) and PSL(2,q), q odd.
 
     Computes normalizer indices, Sylow counts, and (when q-1, q, q+1 are all
-    off the powers of two) the centralizer-order divisibility of 2-elements.
+    off the powers of two) the centralizer-order divisibility of 2-elements,
+    a class invariant, so read on one representative per class.
     For q > 13 the normalizer index must be 3 when q = +-3 (mod 8) and 1
     otherwise, in both groups, and the two Sylow counts must agree; those
     facts are enforced, not just reported.
@@ -400,7 +400,7 @@ def sl2_structure_checks(q: int) -> dict[str, Any]:
             raise RuntimeError(f"nu_2 differs between SL(2,{q}) and PSL(2,{q})")
     report["centralizer_divisibility_checked"] = False
     if is_two_power_neighbor(q) is None:
-        for x in sl.p_elements(2):
+        for x, _, _ in sl_sys.classes:
             c_order = sl.centralizer(x).order
             if c_order % (q - 1) != 0 and c_order % (q + 1) != 0:
                 raise RuntimeError(
@@ -420,10 +420,12 @@ def wreath_cpcp(p: int) -> FiniteGroup:
 
 
 def _frattini_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> KeyClosure:
-    """Frattini subgroup of a p-subgroup: generated by commutators and p-th powers.
+    """Frattini subgroup of a p-subgroup P: generated by the p-th powers and P'.
 
-    Every p-th power and commutator is formed on keys; one closure grows by
-    those that are not members yet.
+    P' is generated by the [x, s] for x in P and s in a generating set S:
+    they generate a normal subgroup, as [x, s]^y = [xy, s][y, s]^-1, so it
+    holds every [x, w], as [x, yz] = [x, z][x, y]^z.  One closure grows by
+    these |P| * (|S| + 1) keys, where all pairs would be |P|^2.
     """
     keys = group.keys
     mul = group.ops.mul
@@ -432,10 +434,10 @@ def _frattini_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> KeyClosure:
     closure = KeyClosure(group)
     for x in members:
         closure.add(group.key_power(x, p))
-    for x in members:
-        xinv = inv(x)
-        for y in members:
-            closure.add(mul(mul(mul(xinv, inv(y)), x), y))
+    for s in map(keys.__getitem__, sub.generating_indices()):
+        sinv = inv(s)
+        for x in members:
+            closure.add(mul(mul(mul(inv(x), sinv), x), s))
     return closure
 
 

@@ -16,7 +16,7 @@ import math
 from functools import reduce
 from itertools import chain, compress, repeat, tee
 from operator import add
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -231,7 +231,7 @@ class PermutationOps:
             base, padded = tee(base)
             base = map(bytes.translate, base, map(add, padded, repeat(pad)))
 
-    def normalizing_keys(self, members: set[bytes], gens: Sequence[bytes], keys: Iterable[bytes]) -> Iterator[bytes]:
+    def normalizing_keys(self, members: Container[bytes], gens: Sequence[bytes], keys: Iterable[bytes]) -> Iterator[bytes]:
         """The keys g with g*h*g^-1 in H for every generator h, lazily and in order.
 
         H is given by its member keys and the keys of a generating set.

@@ -87,15 +87,11 @@ class SylowSystem:
     def _orbit(self) -> tuple[list[Subgroup], dict[int, int]]:
         """The conjugates of P and each p-element's count; checks |orbit| = nu and the union."""
         group = self.group
-        keys = group.keys
-        index = group.key_index
-
-        def conjugate(members: frozenset[int], conjugator) -> frozenset[int]:
-            # on keys, each image looked up once; the member frozenset doubles
-            # as the orbit's dedup key and as the Subgroup's member set
-            return frozenset([index[conjugator(keys[x])] for x in members])
-
-        member_sets, _ = orbit(self.sylow.member_set(), group.conjugators(), conjugate)
+        # the orbit of P's key set under the class walk's conjugators; each
+        # Sylow is converted to its index set once
+        start = frozenset(map(group.keys.__getitem__, self.sylow.indices))
+        key_sets, _ = orbit(start, group.conjugators(), lambda members, c: frozenset(map(c, members)))
+        member_sets = [frozenset(map(group.key_index.__getitem__, members)) for members in key_sets]
         if len(member_sets) != self.nu:
             raise RuntimeError(
                 f"orbit of {len(member_sets)} Sylow subgroups disagrees with normalizer index {self.nu}"
@@ -162,8 +158,9 @@ def find_sylow(group: FiniteGroup, p: int) -> Subgroup:
         p_els = group.p_elements(p)
         closure = KeyClosure(group)
         closure.add(keys[next(x for x in p_els if x != group.identity)])
-        members = closure.members
-        while len(members) < target:
+        # each add replaces closure.members, so it is read afresh every round
+        while len(closure.members) < target:
+            members = closure.members
             outside = (x for x in p_els if keys[x] not in members)
             extension = next(group.normalizing_elements(members, closure.gens, outside), None)
             if extension is None:

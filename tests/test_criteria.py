@@ -1,13 +1,16 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from sylowcover import (
     HypothesisFailed,
     Permutation,
     alternating_group,
+    build_family,
     class_size_test,
     counting_bound_test,
     cyclic_quotient_test,
     decide_redundant_bruteforce,
+    enumerate_group,
     enumerate_sylows,
     find_sylow,
     load_fixture,
@@ -20,8 +23,9 @@ from sylowcover import (
     ti_test,
 )
 from sylowcover.criteria import run_structural_criteria
+from sylowcover.groups import FiniteGroup
 
-from conftest import FIXTURE_DIR, index_closure
+from conftest import FIXTURE_DIR, index_closure, permutation_groups
 
 
 def a8_double_four_cycle(a8):
@@ -98,6 +102,59 @@ def test_navarro_converse_fails_on_a8(a8):
 def test_navarro_group_form(g108, s4):
     assert navarro_test(g108, 2).verdict == "implies-redundant"
     assert navarro_test(s4, 2).verdict == "inconclusive"
+
+
+def test_navarro_checks_orbit_stabilizer_on_each_class_it_visits(monkeypatch):
+    # a trivial centralizer breaks |C| * |C_G(y)| = |G| on the first class
+    # visited, and would pass the containment test
+    monkeypatch.setattr(FiniteGroup, "centralizer", lambda self, x: self.trivial_subgroup())
+    with pytest.raises(RuntimeError, match="orbit-stabilizer"):
+        navarro_test(symmetric_group(4), 2)
+
+
+def _navarro_by_own_class_walk(group, p):
+    """The group form of navarro_test, walking the p-classes itself: each
+    p-element not seen yet, ascending, starts a ``conjugacy_class`` call."""
+    system = enumerate_sylows(group, p)
+    seen: set[int] = set()
+    checked = 0
+    for y in system.p_elements:
+        if y in seen:
+            continue
+        seen.update(group.conjugacy_class(y))
+        checked += 1
+        normalizer = group.normalizer(system.sylow_containing(y)).member_set()
+        if group.centralizer(y).member_set() <= normalizer:
+            return "inconclusive", checked
+    return "implies-redundant", checked
+
+
+def _check_navarro_against_own_class_walk(group):
+    for p, _ in group.order_factorization():
+        outcome = navarro_test(group, p)
+        assert (outcome.verdict, outcome.evidence["classes_checked"]) == _navarro_by_own_class_walk(group, p), (group, p)
+
+
+NAVARRO_GROUPS = {
+    **{name: (lambda name=name: load_fixture(FIXTURE_DIR / f"{name}.json"))
+       for name in ("frobenius21", "g108", "sl23_matrix", "sl28")},
+    **{f"S{n}": (lambda n=n: symmetric_group(n)) for n in (5, 6, 7)},
+    **{f"A{n}": (lambda n=n: alternating_group(n)) for n in (6, 7, 8)},
+    **{f"{family}_{q}": (lambda family=family, q=q: build_family(family, {"q": q}))
+       for family in ("SL2", "PSL2") for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)},
+    "GL2_4": lambda: build_family("GL", {"n": 2, "q": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAVARRO_GROUPS))
+def test_navarro_reads_the_class_view_like_its_own_class_walk(name):
+    _check_navarro_against_own_class_walk(NAVARRO_GROUPS[name]())
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gens=permutation_groups())
+def test_navarro_on_random_permutation_groups(gens):
+    _check_navarro_against_own_class_walk(enumerate_group([Permutation(g) for g in gens]))
 
 
 def test_cyclic_quotient_s4_p3(s4):

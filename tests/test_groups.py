@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sylowcover import (
     ClosureBudgetExceeded,
@@ -15,10 +17,10 @@ from sylowcover import (
     symmetric_group,
 )
 
-from sylowcover.groups import Subgroup
+from sylowcover.groups import KeyClosure, Subgroup
 from sylowcover.perm import PermutationOps
 
-from conftest import FIXTURE_DIR, index_closure
+from conftest import FIXTURE_DIR, index_closure, permutation_groups
 from oracles import closure as oracle_closure, is_p_power_order, conjugacy_class as oracle_class
 
 S4_GENS = [Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 2, 3, 4)])]
@@ -167,14 +169,14 @@ def test_subgroup_closure_two_transpositions(s3):
 
 
 def test_subgroup_lagrange_violation_rejected(s4):
-    from sylowcover.groups import Subgroup
+    from sylowcover.groups import KeyClosure, Subgroup
 
     with pytest.raises(DomainError):
         Subgroup(s4, range(5))  # 5 does not divide 24
 
 
 def test_subgroup_verify_rejects_non_closed_set(s4):
-    from sylowcover.groups import Subgroup
+    from sylowcover.groups import KeyClosure, Subgroup
 
     transposition = s4.index_of(Permutation.from_cycles(4, [(1, 2)]))
     three_cycle = s4.index_of(Permutation.from_cycles(4, [(1, 2, 3)]))
@@ -329,6 +331,37 @@ def test_subgroup_closure_matches_the_index_table_closure(name, s4, monkeypatch)
     # the closure itself multiplies keys, never through the index table
     monkeypatch.setattr(type(group), "mul", None)
     assert [group.subgroup_closure(seed).member_set() for seed in seeds] == expected
+
+
+def _check_key_closure(group, picks):
+    """After each ``add``, ``members`` and ``elements`` are the index-table closure of ``gens``."""
+    keys, index = group.keys, group.key_index
+    closure = KeyClosure(group)
+    taken: list[int] = []
+    for x in picks:
+        before = index_closure(group, taken)
+        assert closure.add(keys[x]) == (x not in before)
+        if x not in before:
+            taken.append(x)
+        expected = index_closure(group, taken)
+        assert closure.gens == [keys[t] for t in taken]
+        assert {index[k] for k in closure.members} == expected
+        assert len(closure.elements) == len(expected) and set(closure.elements) == set(closure.members)
+    assert closure.subgroup().member_set() == index_closure(group, taken)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(gens=permutation_groups(), picks=st.lists(st.integers(min_value=0), min_size=1, max_size=5))
+def test_key_closure_matches_the_index_table_closure_on_random_groups(gens, picks):
+    group = enumerate_group([Permutation(g) for g in gens])
+    _check_key_closure(group, [x % group.order for x in picks])
+
+
+def test_key_closure_matches_the_index_table_closure_on_sl23_matrix():
+    group = load_fixture(FIXTURE_DIR / "sl23_matrix.json")
+    rng = random.Random(7)
+    for _ in range(20):
+        _check_key_closure(group, rng.sample(range(group.order), 4))
 
 
 def test_enumerate_group_checks_a_known_order():

@@ -17,7 +17,8 @@ from sylowcover import (
     theorem_D_decide,
     wreath_cpcp,
 )
-from sylowcover.linear import gl_order, psl_order, sl_order
+from sylowcover.linear import gl_order, maximal_subgroups_of_p_group, psl_order, sl_order
+from sylowcover.perm import Permutation
 
 
 def test_order_formulas():
@@ -199,6 +200,36 @@ def test_wreath_direct_construction():
     assert report["exponent"] == 9
     assert report["abelian_maximal_count"] == 1
     assert report["maximal_subgroup_count"] == 4
+
+
+def test_gl_wreath_checks_c5_wr_c5():
+    # GL(5,11) is far beyond the cap; C5 wr C5 has 15,625 elements, and its
+    # Frattini subgroup is formed from |P| * (|S| + 1) keys, not |P|^2
+    report = gl_wreath_checks(5, 11)
+    assert report["group"] == "C5 wr C5"
+    assert report["sylow_order"] == 5**6
+    assert report["exponent"] == 25
+    assert report["maximal_subgroup_count"] == 6
+    assert report["abelian_maximal_count"] == 1
+
+
+def test_maximal_subgroups_when_the_first_generator_lies_in_the_frattini_subgroup():
+    # the Heisenberg group mod 3, as the maps (x, y) -> (x + a, y + b*x + c) on
+    # the 9 points 3x + y, listed with its central translation first: its
+    # greedy generating set then starts with an element of the Frattini
+    # subgroup, whose commutators are all trivial, so P' needs the others
+    def affine(image):
+        return Permutation([3 * u + v for u, v in (image(x, y) for x in range(3) for y in range(3))])
+
+    central = affine(lambda x, y: (x, (y + 1) % 3))
+    shift = affine(lambda x, y: ((x + 1) % 3, y))
+    shear = affine(lambda x, y: (x, (y + x) % 3))
+    group = enumerate_group([central, shift, shear], order=27)
+    sub = group.full_subgroup()
+    assert len(sub.generating_indices()) == 3
+    maximal = maximal_subgroups_of_p_group(group, sub, 3)
+    assert len(maximal) == 4 and all(m.order == 9 and m.is_abelian() for m in maximal)
+    assert all(group.index_of(central) in m for m in maximal)
 
 
 def test_gl_wreath_checks_rejects_bad_parameters():
