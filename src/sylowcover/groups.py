@@ -10,9 +10,9 @@ choices.  The ops object supplies the step of the element table (the orbit
 of 1 under right multiplication by the generators); on permutations it is a
 chain of ``bytes.translate`` maps.  A subgroup closure (:class:`KeyClosure`)
 is that same walk under the subgroup's generators.  Conjugacy classes map
-the generators' cached conjugators over the list.  The Sylow orbit, the
-block-structure orbit of S_n and matrix groups use :func:`orbit`, the same
-walk with one ``act(point, g)`` call per image.
+the generators' cached conjugators over the list.  The Sylow orbit and
+matrix groups use :func:`orbit`, the same walk with one ``act(point, g)``
+call per image.
 
 Subgroups, Sylow systems and every result handed out name elements by index.
 The hot loops (the p-element scan, powers, subgroup closures, normalizer
@@ -169,21 +169,6 @@ class Subgroup:
             self._generators = self.group.minimal_generating_indices(self.indices)
         return self._generators
 
-    def is_abelian(self) -> bool:
-        """True when the generators commute pairwise, which makes H abelian."""
-        keys = self.group.keys
-        mul = self.group.ops.mul
-        gens = [keys[x] for x in self.generating_indices()]
-        for i, x in enumerate(gens):
-            for y in gens[i + 1:]:
-                if mul(x, y) != mul(y, x):
-                    return False
-        return True
-
-    def exponent(self) -> int:
-        """Maximal element order; for p-groups this is the group exponent."""
-        return max(self.group.element_order(x) for x in self.indices)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Subgroup)
@@ -245,7 +230,6 @@ class FiniteGroup:
         self._inv: Optional[list[int]] = None
         self._conjugators: Optional[list[Callable[[bytes], bytes]]] = None
         self._p_elements: dict[int, list[int]] = {}
-        self._centralizers: dict[int, Subgroup] = {}
         # Sylow systems by p; find_sylow's subgroup by p, also when no
         # system was built
         self._sylow_cache: dict[int, object] = {}
@@ -315,10 +299,6 @@ class FiniteGroup:
         """key^e for e >= 0, on keys."""
         return next(self.ops.powers((key,), e))
 
-    def conjugate(self, x: int, g: int) -> int:
-        """g^-1 * x * g."""
-        return self.mul(self.mul(self.inv(g), x), g)
-
     def conjugators(self) -> list[Callable[[bytes], bytes]]:
         """k -> g^-1 * k * g on keys, one per generator in generator order (built once)."""
         if self._conjugators is None:
@@ -373,35 +353,12 @@ class FiniteGroup:
             raise DomainError(f"p must be prime, got {p}")
         return self._power_is_one(self.order // p_part(self.order, p))
 
-    # -- classes, centralizers, normalizers --------------------------------
-
-    def conjugacy_class(self, x: int) -> tuple[int, ...]:
-        """The class {g^-1 x g}, as a sorted index tuple.
-
-        The orbit-stabilizer identity |class| * |centralizer| = |G| is checked
-        on every call.
-        """
-        cls = tuple(sorted(map(self._index.__getitem__, self.class_keys(self._keys[x]))))
-        if len(cls) * self.centralizer(x).order != self.order:
-            raise RuntimeError("orbit-stabilizer identity violated; group table is corrupt")
-        return cls
+    # -- classes and normalizers -------------------------------------------
 
     def class_keys(self, key: bytes) -> list[bytes]:
         """The keys g^-1 k g of the class of ``key``, in the orbit's first-seen order."""
         conjugators = self.conjugators()
         return walk_orbit(key, lambda points: chain.from_iterable(zip(*[map(c, points) for c in conjugators])))[0]
-
-    def centralizer(self, x: int) -> Subgroup:
-        """All g with gx = xg, as a subgroup (cached per element)."""
-        cached = self._centralizers.get(x)
-        if cached is not None:
-            return cached
-        mul = self.ops.mul
-        xk = self._keys[x]
-        members = [g for g, gk in enumerate(self._keys) if mul(gk, xk) == mul(xk, gk)]
-        sub = Subgroup(self, members)
-        self._centralizers[x] = sub
-        return sub
 
     def normalizer(self, subgroup: Subgroup) -> Subgroup:
         """All g with g^-1 H g = H.  The input subgroup is verified first."""
@@ -457,9 +414,6 @@ class FiniteGroup:
     def trivial_subgroup(self) -> Subgroup:
         return Subgroup(self, (self.identity,))
 
-    def full_subgroup(self) -> Subgroup:
-        return Subgroup(self, range(self.order))
-
     def minimal_generating_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Greedy generating subset of an index set, by ascending index.
 
@@ -491,22 +445,6 @@ class FiniteGroup:
             core = kept
         index = self._index
         return Subgroup(self, [index[k] for k in core])
-
-    def self_check(self) -> None:
-        """Spot-check table consistency on 50 seeded triples: closure, inverses, associativity."""
-        import random
-
-        rng = random.Random(0)
-        n = self.order
-        for _ in range(50):
-            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            ij = self.mul(i, j)
-            if not 0 <= ij < n:
-                raise RuntimeError("product escaped the element table")
-            if self.mul(ij, k) != self.mul(i, self.mul(j, k)):
-                raise RuntimeError("associativity violated")
-            if self.mul(i, self.inv(i)) != self.identity:
-                raise RuntimeError("inverse violated")
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.describe()}, order={self.order})"

@@ -6,7 +6,7 @@ on the q+1 points of the projective line.  There is no SL(n,q) build for
 n >= 3.  Each builder hands its order formula to ``enumerate_group``.
 
 The module also houses the closed-form redundancy deciders for the SL/PSL
-and GL families and the structural checks used to cross-validate them.
+and GL families.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
-from .groups import FiniteGroup, KeyClosure, Subgroup, enumerate_group, pointwise_step, resolve_cap
+from .groups import FiniteGroup, enumerate_group, pointwise_step, resolve_cap
 from .numtheory import is_prime, prime_power_decomposition
 from .perm import Permutation
 
@@ -355,154 +355,3 @@ def theorem_51_decide(n: int, q: int, p: int) -> FamilyVerdict:
     if n == p:
         return FamilyVerdict("GL", params, True, "n = p: every p-element fixes more than one frame of eigen-lines")
     return FamilyVerdict("GL", params, False, "n < p: a p-element with distinct eigenvalues fixes a unique frame")
-
-
-def sl2_structure_checks(q: int) -> dict[str, Any]:
-    """Structural facts about the Sylow 2-subgroups of SL(2,q) and PSL(2,q), q odd.
-
-    Computes normalizer indices, Sylow counts, and (when q-1, q, q+1 are all
-    off the powers of two) the centralizer-order divisibility of 2-elements,
-    a class invariant, so read on one representative per class.
-    For q > 13 the normalizer index must be 3 when q = +-3 (mod 8) and 1
-    otherwise, in both groups, and the two Sylow counts must agree; those
-    facts are enforced, not just reported.
-    """
-    from .sylow import enumerate_sylows
-
-    char, _ = prime_power_decomposition(q)
-    if char == 2:
-        raise DomainError("structure checks require odd q")
-    sl = _sl2_group(q)
-    psl = _psl2_group(q)
-    report: dict[str, Any] = {"q": q}
-    sl_sys = enumerate_sylows(sl, 2)
-    psl_sys = enumerate_sylows(psl, 2)
-    report["sl_order"] = sl.order
-    report["psl_order"] = psl.order
-    report["sl_sylow_order"] = sl_sys.sylow_order
-    report["psl_sylow_order"] = psl_sys.sylow_order
-    report["sl_normalizer_index"] = sl_sys.normalizer_order // sl_sys.sylow_order
-    report["psl_normalizer_index"] = psl_sys.normalizer_order // psl_sys.sylow_order
-    # counted on the orbits, so each is checked against its normalizer index
-    report["nu2_sl"] = len(sl_sys.sylows)
-    report["nu2_psl"] = len(psl_sys.sylows)
-    if q > 13:
-        expected_index = 3 if q % 8 in (3, 5) else 1
-        if report["sl_normalizer_index"] != expected_index:
-            raise RuntimeError(
-                f"SL(2,{q}) normalizer index {report['sl_normalizer_index']}, expected {expected_index}"
-            )
-        if report["psl_normalizer_index"] != expected_index:
-            raise RuntimeError(
-                f"PSL(2,{q}) normalizer index {report['psl_normalizer_index']}, expected {expected_index}"
-            )
-        if report["nu2_sl"] != report["nu2_psl"]:
-            raise RuntimeError(f"nu_2 differs between SL(2,{q}) and PSL(2,{q})")
-    report["centralizer_divisibility_checked"] = False
-    if is_two_power_neighbor(q) is None:
-        for x, _, _ in sl_sys.classes:
-            c_order = sl.centralizer(x).order
-            if c_order % (q - 1) != 0 and c_order % (q + 1) != 0:
-                raise RuntimeError(
-                    f"2-element {sl.render(x)} of SL(2,{q}) has centralizer order {c_order}, "
-                    f"divisible by neither {q - 1} nor {q + 1}"
-                )
-        report["centralizer_divisibility_checked"] = True
-    return report
-
-
-def wreath_cpcp(p: int) -> FiniteGroup:
-    """C_p wr C_p as a permutation group on p^2 points."""
-    degree = p * p
-    base_cycle = Permutation.from_cycles(degree, [tuple(range(1, p + 1))])
-    block_shift = Permutation([(i + p) % degree for i in range(degree)])
-    return enumerate_group([base_cycle, block_shift], name=f"C{p} wr C{p}", order=p ** (p + 1))
-
-
-def _frattini_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> KeyClosure:
-    """Frattini subgroup of a p-subgroup P: generated by the p-th powers and P'.
-
-    P' is generated by the [x, s] for x in P and s in a generating set S:
-    they generate a normal subgroup, as [x, s]^y = [xy, s][y, s]^-1, so it
-    holds every [x, w], as [x, yz] = [x, z][x, y]^z.  One closure grows by
-    these |P| * (|S| + 1) keys, where all pairs would be |P|^2.
-    """
-    keys = group.keys
-    mul = group.ops.mul
-    inv = group.ops.inv
-    members = [keys[x] for x in sub.indices]
-    closure = KeyClosure(group)
-    for x in members:
-        closure.add(group.key_power(x, p))
-    for s in map(keys.__getitem__, sub.generating_indices()):
-        sinv = inv(s)
-        for x in members:
-            closure.add(mul(mul(mul(inv(x), sinv), x), s))
-    return closure
-
-
-def maximal_subgroups_of_p_group(group: FiniteGroup, sub: Subgroup, p: int) -> list[Subgroup]:
-    """All index-p subgroups of a p-subgroup with Frattini quotient of rank 2.
-
-    Maximal subgroups of a p-group are the preimages of the index-p subgroups
-    of its (elementary abelian) Frattini quotient; for rank 2 each of the p+1
-    of them is generated by the Frattini subgroup and one coset
-    representative.
-    """
-    phi = _frattini_subgroup(group, sub, p)
-    if sub.order != len(phi.members) * p * p:
-        raise DomainError("only p-groups with a rank-2 Frattini quotient are supported")
-    keys = group.keys
-    maximal: list[KeyClosure] = []
-    for x in sub.indices:
-        xk = keys[x]
-        # with a rank-2 Frattini quotient, x outside phi lies in exactly one
-        # maximal subgroup, <phi, x>; one closure per maximal subgroup
-        if xk in phi.members or any(xk in m.members for m in maximal):
-            continue
-        candidate = KeyClosure(group)
-        for k in phi.gens + [xk]:
-            candidate.add(k)
-        maximal.append(candidate)
-    if len(maximal) != p + 1:
-        raise RuntimeError(f"found {len(maximal)} maximal subgroups, expected {p + 1}")
-    return sorted((m.subgroup() for m in maximal), key=lambda m: m.indices)
-
-
-def gl_wreath_checks(p: int, q: int, group: Optional[FiniteGroup] = None) -> dict[str, Any]:
-    """Invariants of the Sylow p-subgroup of GL(p,q) when p exactly divides q-1.
-
-    Verifies order p^(p+1), exponent p^2, and a unique abelian maximal
-    subgroup.  When GL(p,q) is beyond the enumeration cap the same invariants
-    are checked on C_p wr C_p built directly.  A prebuilt GL(p,q) may be
-    passed to reuse its cached Sylow data.
-    """
-    if not is_prime(p) or p == 2:
-        raise HypothesisFailed(f"p must be an odd prime, got {p}")
-    if (q - 1) % p != 0 or (q - 1) % (p * p) == 0:
-        raise HypothesisFailed(f"p = {p} must exactly divide q-1 = {q - 1}")
-    limit = resolve_cap()
-    report: dict[str, Any] = {"p": p, "q": q}
-    if group is not None or gl_order(p, q) <= limit:
-        from .sylow import find_sylow
-
-        if group is None:
-            group = _gl_group(p, q)
-        sylow = find_sylow(group, p)
-    else:
-        group = wreath_cpcp(p)
-        sylow = group.full_subgroup()
-    report["group"] = group.describe()
-    report["sylow_order"] = sylow.order
-    if sylow.order != p ** (p + 1):
-        raise RuntimeError(f"Sylow order {sylow.order}, expected p^(p+1) = {p**(p+1)}")
-    report["exponent"] = sylow.exponent()
-    if report["exponent"] != p * p:
-        raise RuntimeError(f"Sylow exponent {report['exponent']}, expected p^2 = {p * p}")
-    maximal = maximal_subgroups_of_p_group(group, sylow, p)
-    report["maximal_subgroup_count"] = len(maximal)
-    abelian = [m for m in maximal if m.is_abelian()]
-    report["abelian_maximal_count"] = len(abelian)
-    if len(abelian) != 1:
-        raise RuntimeError(f"expected exactly one abelian maximal subgroup, found {len(abelian)}")
-    return report

@@ -97,11 +97,3 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
                 return root, k
             break
     raise NotPrimePower(f"{q} is not a prime power")
-
-
-def is_prime_power(q: int) -> bool:
-    try:
-        prime_power_decomposition(q)
-    except NotPrimePower:
-        return False
-    return True

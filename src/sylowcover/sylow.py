@@ -7,7 +7,7 @@ P from :func:`find_sylow`, N_G(P) and nu = |G : N_G(P)|.  Two views are
 built on first use.  ``classes`` reads each p-class C's multiplicity off P,
 since m_C * |C| = nu * |C ∩ P|; brute force reads it.  The orbit view,
 ``sylows`` and ``multiplicity``, lists the conjugates of P and counts each
-p-element over them; covers and most criteria read it.
+p-element over them; covers, ti-sylow and ``verify`` read it.
 """
 
 from __future__ import annotations
@@ -113,13 +113,6 @@ class SylowSystem:
     def unique_witnesses(self) -> list[int]:
         """All p-elements lying in exactly one Sylow p-subgroup, ascending."""
         return sorted(x for x, count in self.multiplicity.items() if count == 1)
-
-    def sylow_containing(self, x: int) -> Subgroup:
-        """The first listed Sylow subgroup containing x."""
-        for sub in self.sylows:
-            if x in sub:
-                return sub
-        raise DomainError(f"element {x} is not a p-element of this system")
 
 
 @dataclass

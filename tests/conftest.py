@@ -16,8 +16,17 @@ from sylowcover import (
 )
 from sylowcover.perm import Permutation
 
+from paper_checks import centralizer
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURE_DIR = REPO_ROOT / "fixtures"
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _module_centralizers():
+    """The centralizer cache holds its groups, so it is emptied after each test module."""
+    yield
+    centralizer.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -17,17 +17,10 @@ from sylowcover import (
     Permutation,
     alternating_group,
     build_family,
-    class_size_test,
-    counting_bound_test,
     cyclic_quotient_test,
     decide_redundant_bruteforce,
     enumerate_sylows,
-    gl_wreath_checks,
     minimal_cover,
-    navarro_test,
-    p_element_count_bound,
-    pnilpotent_test,
-    small_nu_test,
     symmetric_group,
     theorem_B_decide,
     theorem_C_decide,
@@ -35,6 +28,11 @@ from sylowcover import (
     ti_test,
 )
 from sylowcover.numtheory import factorization
+
+from paper_checks import (
+    class_size_test, conjugacy_class, conjugate, counting_bound_test, gl_wreath_checks,
+    navarro_test, p_element_count_bound, pnilpotent_test, small_nu_test, sylow_containing,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -87,9 +85,9 @@ def test_acceptance_3_a8_counterexample_numbers(a8):
     with criterion(3, "A_8 class of (1,2,3,4)(5,6,7,8)") as state:
         x = a8.index_of(Permutation.from_cycles(8, [(1, 2, 3, 4), (5, 6, 7, 8)]))
         system = enumerate_sylows(a8, 2)
-        class_size = len(a8.conjugacy_class(x))
-        sylow = system.sylow_containing(x)
-        class_in_sylow = len({a8.conjugate(x, g) for g in sylow.indices})
+        class_size = len(conjugacy_class(a8, x))
+        sylow = sylow_containing(system, x)
+        class_in_sylow = len({conjugate(a8, x, g) for g in sylow.indices})
         assert class_size == 1260
         assert system.nu == 315
         assert class_in_sylow == 4

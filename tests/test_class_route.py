@@ -18,13 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from sylowcover import (
     alternating_group,
     build_family,
-    counting_bound_test,
     decide_redundant_bruteforce,
     enumerate_group,
     enumerate_sylows,
     load_fixture,
-    p_element_count_bound,
-    small_nu_test,
     symmetric_group,
 )
 from sylowcover import cli, sylow
@@ -34,6 +31,7 @@ from sylowcover.perm import Permutation
 from sylowcover.report import DecisionReport
 
 from conftest import FIXTURE_DIR, permutation_groups
+from paper_checks import conjugacy_class, counting_bound_test, p_element_count_bound, small_nu_test
 
 PRIME_POWERS_TO_13 = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
@@ -49,7 +47,7 @@ def _check_class_route(group):
         for x in group.p_elements(p):
             if x in classed:
                 continue
-            cls = set(group.conjugacy_class(x))
+            cls = set(conjugacy_class(group, x))
             assert cls <= p_elements and not cls & classed, (group, p, x)
             classed |= cls
             meet = len(cls & sylow)

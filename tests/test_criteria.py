@@ -6,26 +6,22 @@ from sylowcover import (
     Permutation,
     alternating_group,
     build_family,
-    class_size_test,
-    counting_bound_test,
     cyclic_quotient_test,
     decide_redundant_bruteforce,
     enumerate_group,
     enumerate_sylows,
     find_sylow,
     load_fixture,
-    navarro_test,
-    normal_p_complement,
-    p_element_count_bound,
-    pnilpotent_test,
-    small_nu_test,
     symmetric_group,
     ti_test,
 )
 from sylowcover.criteria import run_structural_criteria
-from sylowcover.groups import FiniteGroup
 
 from conftest import FIXTURE_DIR, index_closure, permutation_groups
+from paper_checks import (
+    centralizer, class_size_test, conjugacy_class, conjugate, counting_bound_test, navarro_test,
+    normal_p_complement, p_element_count_bound, pnilpotent_test, small_nu_test, sylow_containing,
+)
 
 
 def a8_double_four_cycle(a8):
@@ -44,7 +40,7 @@ def test_class_size_a8_counterexample(a8):
     assert ev["multiplicity"] > 1
     assert outcome.verdict == "inconclusive"
     # the weaker product bound is attained even though x is not unique-Sylow
-    p_class = [y for y in a8.conjugacy_class(x) if y in system.sylow_containing(x)]
+    p_class = [y for y in conjugacy_class(a8, x) if y in sylow_containing(system, x)]
     assert ev["class_size"] <= len(p_class) * ev["nu_p"]
 
 
@@ -107,7 +103,7 @@ def test_navarro_group_form(g108, s4):
 def test_navarro_checks_orbit_stabilizer_on_each_class_it_visits(monkeypatch):
     # a trivial centralizer breaks |C| * |C_G(y)| = |G| on the first class
     # visited, and would pass the containment test
-    monkeypatch.setattr(FiniteGroup, "centralizer", lambda self, x: self.trivial_subgroup())
+    monkeypatch.setattr("paper_checks.centralizer", lambda group, x: group.trivial_subgroup())
     with pytest.raises(RuntimeError, match="orbit-stabilizer"):
         navarro_test(symmetric_group(4), 2)
 
@@ -121,10 +117,10 @@ def _navarro_by_own_class_walk(group, p):
     for y in system.p_elements:
         if y in seen:
             continue
-        seen.update(group.conjugacy_class(y))
+        seen.update(conjugacy_class(group, y))
         checked += 1
-        normalizer = group.normalizer(system.sylow_containing(y)).member_set()
-        if group.centralizer(y).member_set() <= normalizer:
+        normalizer = group.normalizer(sylow_containing(system, y)).member_set()
+        if centralizer(group, y).member_set() <= normalizer:
             return "inconclusive", checked
     return "implies-redundant", checked
 
@@ -168,8 +164,6 @@ def test_cyclic_quotient_normal_sylow(a4):
 
 
 def test_cyclic_quotient_quaternion_over_center():
-    from sylowcover import build_family
-
     group = build_family("SL2", {"q": 11})
     outcome = cyclic_quotient_test(group, 2)
     assert outcome.verdict == "inconclusive"
@@ -261,8 +255,8 @@ def test_pnilpotent_class_size_refinement(g108, frobenius21):
         system = enumerate_sylows(group, p)
         sylow = system.sylows[0]
         for x in sylow.indices:
-            class_size = len(group.conjugacy_class(x))
-            p_class = len({group.conjugate(x, g) for g in sylow.indices})
+            class_size = len(conjugacy_class(group, x))
+            p_class = len({conjugate(group, x, g) for g in sylow.indices})
             assert class_size <= system.nu * p_class
             assert (class_size == system.nu * p_class) == (system.multiplicity[x] == 1)
 

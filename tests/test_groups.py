@@ -22,6 +22,7 @@ from sylowcover.perm import PermutationOps
 
 from conftest import FIXTURE_DIR, index_closure, permutation_groups
 from oracles import closure as oracle_closure, is_p_power_order, conjugacy_class as oracle_class
+from paper_checks import centralizer, conjugacy_class, full_subgroup, self_check
 
 S4_GENS = [Permutation.from_cycles(4, [(1, 2)]), Permutation.from_cycles(4, [(1, 2, 3, 4)])]
 
@@ -88,14 +89,14 @@ def test_p_prime_elements(s4):
 
 
 def test_conjugacy_class_identity(s4):
-    assert s4.conjugacy_class(s4.identity) == (s4.identity,)
+    assert conjugacy_class(s4, s4.identity) == (s4.identity,)
 
 
 def test_conjugacy_class_four_cycle_matches_oracle(s4):
     elements = oracle_closure([(1, 0, 2, 3), (1, 2, 3, 0)])
     x = s4.index_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]))
     expected = oracle_class((1, 2, 3, 0), elements)
-    cls = s4.conjugacy_class(x)
+    cls = conjugacy_class(s4, x)
     assert len(cls) == len(expected) == 6
     assert {s4.element(i).images for i in cls} == expected
 
@@ -104,23 +105,23 @@ def test_orbit_stabilizer_on_random_elements(s8):
     rng = random.Random(7)
     for _ in range(100):
         x = rng.randrange(s8.order)
-        cls = s8.conjugacy_class(x)
-        assert len(cls) * s8.centralizer(x).order == s8.order
+        cls = conjugacy_class(s8, x)
+        assert len(cls) * centralizer(s8, x).order == s8.order
 
 
 def test_centralizer_of_identity_is_group(s4):
-    assert s4.centralizer(s4.identity).order == s4.order
+    assert centralizer(s4, s4.identity).order == s4.order
 
 
 def test_centralizer_contains_cyclic_subgroup(s4):
     x = s4.index_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]))
-    cent = s4.centralizer(x)
+    cent = centralizer(s4, x)
     assert x in cent
     assert s4.power(x, 2) in cent
 
 
 def test_normalizer_of_whole_group(s4):
-    assert s4.normalizer(s4.full_subgroup()).order == s4.order
+    assert s4.normalizer(full_subgroup(s4)).order == s4.order
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "A7", "PSL2_25", "frobenius21", "g108", "sl23_matrix", "sl28"])
@@ -212,8 +213,8 @@ def test_largest_normal_p_subgroup_is_intersection_of_all_sylows(name, s4, a4):
 
 
 def test_group_self_check(s4, a4):
-    s4.self_check()
-    a4.self_check()
+    self_check(s4)
+    self_check(a4)
 
 
 def test_power_negative_exponent(s4):
@@ -250,7 +251,7 @@ def _named_group(name, s4):
 
 def _subgroups_of(group):
     """Every Sylow subgroup and every element centralizer, as member sets."""
-    subs = {group.centralizer(x).member_set() for x in range(group.order)}
+    subs = {centralizer(group, x).member_set() for x in range(group.order)}
     for p, _ in group.order_factorization():
         subs.update(sub.member_set() for sub in enumerate_sylows(group, p).sylows)
     return sorted(subs, key=sorted)
@@ -296,7 +297,7 @@ def test_verify_raises_exactly_when_the_pairwise_definition_fails(name, s4):
 
 def test_verify_makes_one_product_per_member_and_generator(monkeypatch):
     group = symmetric_group(5)
-    for sub in (group.full_subgroup(), find_sylow(group, 2), group.centralizer(7)):
+    for sub in (full_subgroup(group), find_sylow(group, 2), centralizer(group, 7)):
         gens = sub.generating_indices()
         calls = 0
         mul = PermutationOps.mul

@@ -9,16 +9,18 @@ from sylowcover import (
     enumerate_group,
     enumerate_sylows,
     find_sylow,
-    gl_wreath_checks,
     is_two_power_neighbor,
     make_field,
-    sl2_structure_checks,
     theorem_51_decide,
     theorem_D_decide,
-    wreath_cpcp,
 )
-from sylowcover.linear import gl_order, maximal_subgroups_of_p_group, psl_order, sl_order
+from sylowcover.linear import gl_order, psl_order, sl_order
 from sylowcover.perm import Permutation
+
+from paper_checks import (
+    centralizer, full_subgroup, gl_wreath_checks, is_abelian, maximal_subgroups_of_p_group,
+    sl2_structure_checks, wreath_cpcp,
+)
 
 
 def test_order_formulas():
@@ -175,13 +177,13 @@ def test_sl2q_maximal_2_power_element_is_self_centralizing():
     # for q = 17 = 2^4 + 1, an element of order 16 has centralizer <x>
     group = build_family("SL2", {"q": 17})
     x = next(i for i in range(group.order) if group.element_order(i) == 16)
-    assert group.centralizer(x).order == 16
+    assert centralizer(group, x).order == 16
 
 
 def test_sl211_two_element_centralizers():
     group = build_family("SL2", {"q": 11})
     for x in group.p_elements(2):
-        order = group.centralizer(x).order
+        order = centralizer(group, x).order
         assert order % 10 == 0 or order % 12 == 0
 
 
@@ -225,10 +227,10 @@ def test_maximal_subgroups_when_the_first_generator_lies_in_the_frattini_subgrou
     shift = affine(lambda x, y: ((x + 1) % 3, y))
     shear = affine(lambda x, y: (x, (y + x) % 3))
     group = enumerate_group([central, shift, shear], order=27)
-    sub = group.full_subgroup()
+    sub = full_subgroup(group)
     assert len(sub.generating_indices()) == 3
     maximal = maximal_subgroups_of_p_group(group, sub, 3)
-    assert len(maximal) == 4 and all(m.order == 9 and m.is_abelian() for m in maximal)
+    assert len(maximal) == 4 and all(m.order == 9 and is_abelian(m) for m in maximal)
     assert all(group.index_of(central) in m for m in maximal)
 
 

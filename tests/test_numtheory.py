@@ -5,7 +5,6 @@ from sylowcover.numtheory import (
     MILLER_RABIN_BOUND,
     factorization,
     is_prime,
-    is_prime_power,
     p_part,
     prime_power_decomposition,
 )
@@ -96,5 +95,6 @@ def test_prime_power_decomposition_large():
 
 
 def test_is_prime_power():
-    assert is_prime_power(27)
-    assert not is_prime_power(6)
+    assert prime_power_decomposition(27) == (3, 3)
+    with pytest.raises(NotPrimePower):
+        prime_power_decomposition(6)

@@ -10,7 +10,6 @@ from sylowcover import (
     Permutation,
     alternating_group,
     build_family,
-    class_size_test,
     decide_redundant_bruteforce,
     enumerate_group,
     enumerate_sylows,
@@ -28,6 +27,7 @@ from sylowcover.perm import PermutationOps
 from sylowcover.sylow import EXACT_COVER_NU_BOUND
 
 from conftest import FIXTURE_DIR, index_closure
+from paper_checks import class_size_test, conjugate
 
 
 
@@ -256,7 +256,7 @@ def _reference_find_sylow(group, p):
     while len(members) < p_part(group.order, p):
         gens.append(next(
             x for x in group.p_elements(p)
-            if x not in members and all(group.conjugate(h, x) in members for h in gens)
+            if x not in members and all(conjugate(group, h, x) in members for h in gens)
         ))
         members = index_closure(group, gens)
     return frozenset(members)

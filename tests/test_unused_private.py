@@ -35,13 +35,13 @@ def _referenced(stmt: ast.stmt) -> set[str]:
     return names
 
 
-def unreferenced_private_names(sources: list[str]) -> list[str]:
+def unreferenced_names(sources: list[str], wanted=_private) -> list[str]:
     defined: set[str] = set()
     referenced: set[str] = set()
     for source in sources:
         for stmt in ast.parse(source).body:
             own = _defined(stmt)
-            defined.update(name for name in own if _private(name))
+            defined.update(filter(wanted, own))
             # a reference inside a definition's own body does not count
             referenced.update(_referenced(stmt) - own)
     return sorted(defined - referenced)
@@ -56,10 +56,10 @@ def test_the_check_sees_a_dead_private_helper():
         "def __getattr__(name):\n    pass\n"
     )
     module_b = "from .a import _used\n_used()\n"
-    assert unreferenced_private_names([module_a, module_b]) == ["_dead", "_recursive"]
+    assert unreferenced_names([module_a, module_b]) == ["_dead", "_recursive"]
 
 
 def test_every_private_name_is_referenced():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert sources
-    assert unreferenced_private_names(sources) == []
+    assert unreferenced_names(sources) == []
