@@ -11,8 +11,9 @@ of 1 under right multiplication by the generators); on permutations it is a
 chain of ``bytes.translate`` maps.  A subgroup closure (:class:`KeyClosure`)
 is that same walk under the subgroup's generators.  Conjugacy classes map
 the generators' cached conjugators over the list.  The Sylow orbit and
-matrix groups use :func:`orbit`, the same walk with one ``act(point, g)``
-call per image.
+matrix groups past ``perm.MAX_DEGREE`` nonzero vectors use :func:`orbit`,
+the same walk with one ``act(point, g)`` call per image; smaller matrix
+groups run as permutations of their vectors (``linear.VectorOps``).
 
 Subgroups, Sylow systems and every result handed out name elements by index.
 The hot loops (the p-element scan, powers, subgroup closures, normalizer
@@ -29,8 +30,9 @@ inverted.  The normalizer test is g*h*g^-1 in H for each generator h of H,
 that is g H g^-1 = H; conjugating both sides by g shows this is
 H = g^-1 H g, so it finds the same set as the g^-1*h*g test.  Permutation
 ops test it without inverses (``normalizing_keys``), so no permutation path
-builds the whole-group inverse table; matrix groups have no inverse-free
-conjugate and keep the loop over that table.
+builds the whole-group inverse table; matrix groups past the permutation
+degree bound have no inverse-free conjugate and keep the loop over that
+table.
 """
 
 from __future__ import annotations
@@ -456,8 +458,11 @@ def enumerate_group(
     """Enumerate the group generated by permutations or matrices.
 
     All generators must share one shape (same degree, or same field and
-    dimension).  Element indices follow a fixed breadth-first order, so two
-    calls with the same generator list produce identical tables.  A known
+    dimension); each element type's ``group_ops`` names the ops that run
+    it, so matrices with at most ``perm.MAX_DEGREE`` nonzero vectors run as
+    permutations of them.  Element indices follow a fixed breadth-first
+    order, so two calls with the same generator list produce identical
+    tables.  A known
     |G| passed as ``order`` is refused past the cap before any generator is
     drawn (they may come lazily), and the table must reach exactly it.
     """

@@ -5,6 +5,16 @@ for GL); PSL(2,q) is realized as the faithful permutation action of SL(2,q)
 on the q+1 points of the projective line.  There is no SL(n,q) build for
 n >= 3.  Each builder hands its order formula to ``enumerate_group``.
 
+A matrix group whose q^n - 1 nonzero vectors number at most
+``perm.MAX_DEGREE`` is enumerated as the permutation group of the left
+action v -> M*v on those column vectors (:class:`VectorOps`), so its products,
+scans and classes run on the ``bytes.translate`` chains of permutation
+groups.  Elements still enter and leave as :class:`SquareMatrix`, and
+witnesses print as matrices: column j of M is the image of e_j.  Past that
+degree (SL(2,17), SL(2,19), GL(2,q) for q >= 17, larger matrix fixtures) the
+engine multiplies matrices entry by entry (:class:`MatrixOps`).  The choice
+is made in one place, :meth:`SquareMatrix.group_ops`.
+
 The module also houses the closed-form redundancy deciders for the SL/PSL
 and GL families.
 """
@@ -13,14 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
 from .groups import FiniteGroup, enumerate_group, pointwise_step, resolve_cap
 from .numtheory import is_prime, prime_power_decomposition
-from .perm import Permutation
+from .perm import MAX_DEGREE, Permutation, PermutationOps
 
 
 class SquareMatrix:
@@ -55,13 +65,13 @@ class SquareMatrix:
         return cls(field_, entries)
 
     def __mul__(self, other: "SquareMatrix") -> "SquareMatrix":
-        ops = self.group_ops()
-        if other.group_ops() is not ops:
+        ops = self._arithmetic()
+        if other._arithmetic() is not ops:
             raise DomainError("cannot multiply matrices of different shapes/fields")
         return SquareMatrix(self.field, None, _key=ops.mul(self.key, other.key))
 
     def inverse(self) -> "SquareMatrix":
-        return SquareMatrix(self.field, None, _key=self.group_ops().inv(self.key))
+        return SquareMatrix(self.field, None, _key=self._arithmetic().inv(self.key))
 
     def det(self) -> int:
         return _gauss_jordan(self.key, self.dim, self.field)[0]
@@ -82,8 +92,14 @@ class SquareMatrix:
     def render(self) -> str:
         return _render_key(self.key, self.dim, self.field)
 
-    def group_ops(self) -> "MatrixOps":
+    def _arithmetic(self) -> "MatrixOps":
         return MatrixOps.for_shape(self.field, self.dim)
+
+    def group_ops(self) -> "VectorOps | MatrixOps":
+        """The engine's ops for this shape: the action on the nonzero vectors when they number at most MAX_DEGREE."""
+        if self.field.q**self.dim - 1 <= MAX_DEGREE:
+            return VectorOps.for_shape(self.field, self.dim)
+        return self._arithmetic()
 
 
 def _flatten(entries) -> list[int]:
@@ -111,6 +127,18 @@ def _gauss_jordan(key: bytes, n: int, f: Field) -> tuple[int, Optional[bytes]]:
                 factor = rows[r][col]
                 rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], rows[col])]
     return det, bytes(x for row in rows for x in row[n:])
+
+
+def _mat_vec(f: Field, key: bytes, n: int, v: Sequence[int]) -> tuple[int, ...]:
+    """M*v for the n-by-n matrix M with row-major ``key`` and a column vector v."""
+    add, mul = f.add_table, f.mul_table
+    out = []
+    for i in range(n):
+        acc = 0
+        for m, x in zip(key[i * n:(i + 1) * n], v):
+            acc = add[acc][mul[m][x]]
+        out.append(acc)
+    return tuple(out)
 
 
 def _render_key(key: bytes, n: int, f: Field) -> str:
@@ -206,6 +234,54 @@ class MatrixOps:
         return f"matrix group of dimension {self.dim} over GF({self.field.q})"
 
 
+class VectorOps(PermutationOps):
+    """Matrices over GF(q) as permutations of the q^n - 1 nonzero column vectors, v -> M*v.
+
+    ``PermutationOps.mul(a, b)`` applies b first, so M -> (v -> M*v) is a
+    faithful homomorphism: the element-table walk meets the same elements
+    in the same order as on matrix keys, and every index, Sylow subgroup and
+    witness is the same.  Keys are the permutations; ``wrap``, ``unwrap``
+    and ``render`` convert at the edges, reading column j of M off the image
+    of e_j.  The vectors are listed once per shape, in ``product`` order
+    with the zero vector left out.
+    """
+
+    _instances: dict[tuple[int, int], "VectorOps"] = {}
+    # MatrixOps' lookup, caching in this class's own dict
+    for_shape = classmethod(MatrixOps.for_shape.__func__)
+
+    def __init__(self, field_: Field, dim: int):
+        self.field = field_
+        self.dim = dim
+        self.matrix = MatrixOps.for_shape(field_, dim)
+        self.vectors = list(product(range(field_.q), repeat=dim))[1:]
+        self._position = {v: i for i, v in enumerate(self.vectors)}
+        self._basis = [self._position[tuple(int(i == j) for i in range(dim))] for j in range(dim)]
+        super().__init__(len(self.vectors))
+
+    def action_key(self, matrix_key: bytes) -> bytes:
+        """The permutation v -> M*v of the nonzero vectors, for M's row-major key."""
+        f, n, position = self.field, self.dim, self._position
+        return bytes(position[_mat_vec(f, matrix_key, n, v)] for v in self.vectors)
+
+    def matrix_key(self, key: bytes) -> bytes:
+        """M's row-major key from its permutation: column j is the image of e_j."""
+        columns = [self.vectors[key[b]] for b in self._basis]
+        return bytes(column[i] for i in range(self.dim) for column in columns)
+
+    def wrap(self, key: bytes) -> SquareMatrix:
+        return SquareMatrix(self.field, None, _key=self.matrix_key(key))
+
+    def unwrap(self, element: object) -> bytes:
+        return self.action_key(self.matrix.unwrap(element))
+
+    def render(self, key: bytes) -> str:
+        return self.matrix.render(self.matrix_key(key))
+
+    def describe(self) -> str:
+        return self.matrix.describe()
+
+
 @dataclass
 class FamilyVerdict:
     """Closed-form decision for a classical family, with the clause that fired."""
@@ -260,17 +336,11 @@ def _projective_points(f: Field) -> list[tuple[int, int]]:
 
 
 def _projective_action(gen: SquareMatrix, points: list[tuple[int, int]], f: Field) -> Permutation:
-    a, b, c, d = gen.entries
     index = {pt: i for i, pt in enumerate(points)}
     images = []
-    for x, y in points:
-        nx = f.add(f.mul(a, x), f.mul(b, y))
-        ny = f.add(f.mul(c, x), f.mul(d, y))
-        if ny:
-            pt = (f.mul(nx, f.inv(ny)), 1)
-        else:
-            pt = (1, 0)
-        images.append(index[pt])
+    for pt in points:
+        nx, ny = _mat_vec(f, gen.key, 2, pt)
+        images.append(index[(f.mul(nx, f.inv(ny)), 1) if ny else (1, 0)])
     return Permutation(images)
 
 

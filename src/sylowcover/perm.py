@@ -130,10 +130,6 @@ class Permutation:
     def is_even(self) -> bool:
         return (self.degree - len(cycle_lengths_of_key(self.key))) % 2 == 0
 
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial disjoint cycles as 0-based point tuples, lowest moved point first."""
-        return [c for c in cycles_of_key(self.key) if len(c) > 1]
-
     def cycle_string(self) -> str:
         """1-based disjoint-cycle rendering, e.g. ``(1,2,3,4)(5,6,7,8)``."""
         return cycle_notation(cycles_of_key(self.key))

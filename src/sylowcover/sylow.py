@@ -44,10 +44,6 @@ class SylowSystem:
         """The number of Sylow p-subgroups, |G : N_G(P)|."""
         return self.group.order // self.normalizer_order
 
-    @property
-    def sylow_order(self) -> int:
-        return self.sylow.order
-
     @cached_property
     def classes(self) -> list[tuple[int, int, int]]:
         """For each p-class C, the triple (lowest index in C, |C|, m_C).

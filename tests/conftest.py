@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,24 @@ def frobenius21():
 @pytest.fixture(scope="session")
 def sl28():
     return build_family("SL2", {"q": 8})
+
+
+@pytest.fixture(scope="session")
+def sl217_sub68_path(tmp_path_factory):
+    """A matrix fixture file of C17 : C4 in SL(2,17), from a transvection and diag(4, 13).
+
+    GF(17)^2 has 288 nonzero vectors, past the permutation degree bound, so
+    this group keeps matrix arithmetic (``MatrixOps``) where the committed
+    matrix inputs run as permutations of their vectors.
+    """
+    path = tmp_path_factory.mktemp("fixtures") / "sl217_sub68.json"
+    path.write_text(json.dumps({"kind": "matrix", "q": 17, "dim": 2, "generators": [[1, 1, 0, 1], [4, 0, 0, 13]]}))
+    return path
+
+
+@pytest.fixture(scope="session")
+def sl217_sub68(sl217_sub68_path):
+    return load_fixture(sl217_sub68_path)
 
 
 @pytest.fixture(scope="session")

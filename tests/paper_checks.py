@@ -256,7 +256,7 @@ def p_element_count_bound(group: FiniteGroup, p: int) -> CriterionOutcome:
     system = enumerate_sylows(group, p)
     if system.nu == 1:
         raise HypothesisFailed("the Sylow p-subgroup is normal")
-    required = system.sylow_order * p
+    required = system.sylow.order * p
     count = len(system.p_elements)
     if count < required:
         raise RuntimeError(f"only {count} p-elements, below the guaranteed {required}")
@@ -306,10 +306,10 @@ def sl2_structure_checks(q: int) -> dict[str, Any]:
     psl_sys = enumerate_sylows(psl, 2)
     report["sl_order"] = sl.order
     report["psl_order"] = psl.order
-    report["sl_sylow_order"] = sl_sys.sylow_order
-    report["psl_sylow_order"] = psl_sys.sylow_order
-    report["sl_normalizer_index"] = sl_sys.normalizer_order // sl_sys.sylow_order
-    report["psl_normalizer_index"] = psl_sys.normalizer_order // psl_sys.sylow_order
+    report["sl_sylow_order"] = sl_sys.sylow.order
+    report["psl_sylow_order"] = psl_sys.sylow.order
+    report["sl_normalizer_index"] = sl_sys.normalizer_order // sl_sys.sylow.order
+    report["psl_normalizer_index"] = psl_sys.normalizer_order // psl_sys.sylow.order
     # counted on the orbits, so each is checked against its normalizer index
     report["nu2_sl"] = len(sl_sys.sylows)
     report["nu2_psl"] = len(psl_sys.sylows)

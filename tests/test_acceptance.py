@@ -126,8 +126,8 @@ def test_acceptance_5_normalizer_indices_q17_q19():
             psl = build_family("PSL2", {"q": q})
             sl_sys = enumerate_sylows(sl, 2)
             psl_sys = enumerate_sylows(psl, 2)
-            assert sl_sys.normalizer_order == expected * sl_sys.sylow_order
-            assert psl_sys.normalizer_order == expected * psl_sys.sylow_order
+            assert sl_sys.normalizer_order == expected * sl_sys.sylow.order
+            assert psl_sys.normalizer_order == expected * psl_sys.sylow.order
             assert sl_sys.nu == psl_sys.nu
             indices[q] = (expected, sl_sys.nu)
         state["summary"] = f"|N(P):P| and shared nu_2: {indices}"
@@ -232,11 +232,11 @@ def test_acceptance_8_criteria_soundness_sweep(g108, frobenius21, gl34, gl24, a4
                 # p-element count bound and its cover consequences
                 if system.nu > 1:
                     p_count = len(system.p_elements)
-                    assert p_count >= system.sylow_order * p, f"count bound fails on {name} p={p}"
-                    if p_count == system.sylow_order * p:
+                    assert p_count >= system.sylow.order * p, f"count bound fails on {name} p={p}"
+                    if p_count == system.sylow.order * p:
                         pel_equalities.append((name, p))
                     # no p Sylow subgroups can cover: their union is too small
-                    max_union = p * (system.sylow_order - 1) + 1
+                    max_union = p * (system.sylow.order - 1) + 1
                     assert max_union < p_count, f"cover-by-p not excluded on {name} p={p}"
                     if system.nu <= 64:
                         exact = minimal_cover(system, "exact", budget=200_000)

@@ -20,7 +20,7 @@ from sylowcover.perm import Permutation
 
 from conftest import FIXTURE_DIR, permutation_groups
 
-FIXTURES = ["g108", "frobenius21", "sl28", "gl24", "c6", "s4", "a8"]
+FIXTURES = ["g108", "frobenius21", "sl28", "gl24", "c6", "s4", "a8", "sl217_sub68"]
 
 
 def _fifo_table(group):

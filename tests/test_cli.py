@@ -406,7 +406,7 @@ def test_elapsed_ms_includes_group_build(capsys, monkeypatch, method):
     assert report.elapsed_ms >= 50
 
 
-def test_benchmark_tracer_finds_every_traced_name(capsys):
+def test_benchmark_tracer_finds_every_traced_name(capsys, sl217_sub68_path):
     # the tracer wraps names where cli and the engine look them up, and raises
     # KeyError for one that is gone; a call path that bypasses a wrapped name
     # would leave its metric at 0 without any error, so every span must fire
@@ -420,6 +420,9 @@ def test_benchmark_tracer_finds_every_traced_name(capsys):
         ["decide", "--fixture", g108, "--p", "2", "--format", "json"],
         ["cover", "--fixture", g108, "--p", "2", "--mode", "exact"],
         ["decide", "--fixture", str(FIXTURES / "sl23_matrix.json"), "--p", "2"],
+        # the committed matrix inputs run as permutations of their vectors;
+        # this one has 288 and keeps MatrixOps, whose products linear.mul_calls counts
+        ["decide", "--fixture", str(sl217_sub68_path), "--p", "2"],
         ["decide", "--family", "Sn", "--n", "9", "--p", "2"],
         ["decide", "--family", "An", "--n", "9", "--p", "2"],
         ["decide", "--family", "SL2", "--q", "9", "--p", "2"],

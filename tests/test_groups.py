@@ -124,11 +124,14 @@ def test_normalizer_of_whole_group(s4):
     assert s4.normalizer(full_subgroup(s4)).order == s4.order
 
 
-@pytest.mark.parametrize("name", ["S4", "A5", "A7", "PSL2_25", "frobenius21", "g108", "sl23_matrix", "sl28"])
-def test_normalizer_matches_definition(name, s4):
+@pytest.mark.parametrize(
+    "name", ["S4", "A5", "A7", "PSL2_25", "frobenius21", "g108", "sl23_matrix", "sl28", "sl217_sub68"]
+)
+def test_normalizer_matches_definition(name, s4, request):
     # the definition {g : g^-1 H g = H}, through the index table's mul; the
-    # permutation groups take the inverse-free kernel, the two matrix
-    # fixtures (sl23_matrix, sl28) the inverse-table loop
+    # permutation groups and the matrix groups on at most 255 nonzero vectors
+    # (sl23_matrix, sl28) take the inverse-free kernel, the matrix group on
+    # 288 vectors (sl217_sub68) the inverse-table loop
     if name == "S4":
         group = s4
     elif name == "A5":
@@ -137,9 +140,11 @@ def test_normalizer_matches_definition(name, s4):
         group = alternating_group(7)
     elif name == "PSL2_25":
         group = build_family("PSL2", {"q": 25})
+    elif name == "sl217_sub68":
+        group = request.getfixturevalue(name)
     else:
         group = load_fixture(FIXTURE_DIR / f"{name}.json")
-    assert hasattr(group.ops, "normalizing_keys") == (name not in ("sl23_matrix", "sl28"))
+    assert hasattr(group.ops, "normalizing_keys") == (name != "sl217_sub68")
     for p, _ in group.order_factorization():
         sylow = find_sylow(group, p)
         cyclic = group.subgroup_closure([group.p_elements(p)[1]])

@@ -190,7 +190,7 @@ def test_sl211_two_element_centralizers():
 def test_norm_indices_sl11():
     group = build_family("SL2", {"q": 11})
     system = enumerate_sylows(group, 2)
-    assert system.normalizer_order == 3 * system.sylow_order == 24
+    assert system.normalizer_order == 3 * system.sylow.order == 24
 
 
 def test_wreath_direct_construction():
@@ -243,7 +243,7 @@ def test_gl_wreath_checks_rejects_bad_parameters():
 
 def test_matrix_group_p_elements(gl24):
     system = enumerate_sylows(gl24, 3)
-    assert system.sylow_order == 9
+    assert system.sylow.order == 9
     assert set(system.multiplicity) == set(gl24.p_elements(3))
 
 

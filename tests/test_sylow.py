@@ -43,7 +43,7 @@ def test_find_sylow_coprime_prime(s4):
 def test_sylow_system_s4(s4):
     system = enumerate_sylows(s4, 2)
     assert system.nu == 3
-    assert system.sylow_order == 8
+    assert system.sylow.order == 8
     assert system.multiplicity[s4.identity] == 3
     # conservation: total membership incidences equal the multiplicity sum
     assert sum(sub.order for sub in system.sylows) == sum(system.multiplicity.values())

@@ -250,8 +250,8 @@ def test_sylow_two_normalizers_and_bijection_n6_to_n9(s8, a8, s9, a9):
         sn_system = enumerate_sylows(sn, 2)
         an_system = enumerate_sylows(an, 2)
         # self-normalizing Sylow 2-subgroups on both sides
-        assert sn_system.normalizer_order == sn_system.sylow_order, f"S_{n}"
-        assert an_system.normalizer_order == an_system.sylow_order, f"A_{n}"
+        assert sn_system.normalizer_order == sn_system.sylow.order, f"S_{n}"
+        assert an_system.normalizer_order == an_system.sylow.order, f"A_{n}"
         assert sn_system.nu == an_system.nu, f"n = {n}"
         # P -> P n A_n is a bijection onto the Sylow subgroups of A_n
         even = {
