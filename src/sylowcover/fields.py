@@ -2,42 +2,29 @@
 
 An element is the integer c_0 + c_1*p + ... + c_{k-1}*p^(k-1) whose base-p
 digits are the coefficients (constant term first) of a polynomial residue
-modulo a fixed monic irreducible polynomial of degree k.  The modulus is the
+modulo a fixed monic irreducible polynomial of degree k (for k = 1 the
+modulus is x, and the residues are the integers mod p).  The modulus is the
 lexicographically least irreducible choice, so encodings are stable across
-runs and implementations.  Full multiplication and addition tables are built
-up front; group enumeration then runs on table lookups only.
+runs and implementations.
+
+Full tables are built up front, and group enumeration then runs on table
+lookups only.  Addition is digit-wise, so ``add_table`` grows one base-p
+digit at a time.  The generator is the least element whose powers reach
+every unit: one walk of those powers is the antilog table g^i, its inverse
+is the discrete logarithm, and products, inverses, powers and orders are
+read off the two (a*b = g^(log a + log b)).  The walk multiplies by a fixed
+g, a GF(p)-linear map, so its row grows digit by digit like addition.
 """
 
 from __future__ import annotations
+
+import math
+from functools import cache
 
 from .errors import DomainError
 from .numtheory import prime_power_decomposition
 
 MAX_FIELD_SIZE = 256  # matrix entries are packed one byte each
-
-_FIELD_CACHE: dict[int, "Field"] = {}
-
-
-def _poly_mul_mod(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product of coefficient tuples (constant first) reduced mod a monic modulus."""
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # monic modulus: subtract x^(deg-k) * modulus scaled by the leading digit
-    for deg in range(len(prod) - 1, k - 1, -1):
-        coeff = prod[deg]
-        if coeff:
-            prod[deg] = 0
-            shift = deg - k
-            for j in range(k):
-                prod[shift + j] = (prod[shift + j] - coeff * modulus[j]) % p
-    out = prod[:k]
-    while len(out) < k:
-        out.append(0)
-    return tuple(out)
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
@@ -73,13 +60,6 @@ def _value_to_coeffs(value: int, p: int, k: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _coeffs_to_value(coeffs: tuple[int, ...], p: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * p + c
-    return value
-
-
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree k (constant first)."""
     from itertools import product
@@ -102,45 +82,50 @@ class Field:
         self.q = q
         self.p = p
         self.k = k
-        if k == 1:
-            self.modulus = (0, 1)  # placeholder; arithmetic is plain mod p
-            self.add_table = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self.mul_table = [[(a * b) % p for b in range(p)] for a in range(p)]
+        self.modulus = _least_irreducible(p, k)
+        # digit j shifted by s: row a + s*p^j is row a with its p blocks of p^j rotated by s
+        add = [[0]]
+        for j in range(k):
+            size = p**j
+            doubled = [[x + c * size for c in range(p) for x in row] * 2 for row in add]
+            add = [row[s * size:(s + p) * size] for s in range(p) for row in doubled]
+        self.add_table = add
+        # the least element whose powers reach every unit; its walk is the antilog table
+        for g in range(1, q):
+            times_g = self._times(g)
+            exp = [1]
+            while (x := times_g[exp[-1]]) != 1:
+                exp.append(x)
+            if len(exp) == q - 1:
+                break
         else:
-            self.modulus = _least_irreducible(p, k)
-            coeffs = [_value_to_coeffs(v, p, k) for v in range(q)]
-            self.add_table = [
-                [_coeffs_to_value(tuple((x + y) % p for x, y in zip(a, b)), p) for b in coeffs]
-                for a in coeffs
-            ]
-            self.mul_table = [
-                [_coeffs_to_value(_poly_mul_mod(a, b, self.modulus, p), p) for b in coeffs]
-                for a in coeffs
-            ]
-        self.neg_table = [self._find_neg(a) for a in range(q)]
-        self.inv_table = [None] + [self._find_inv(a) for a in range(1, q)]
-        self.generator = self._find_generator()
+            raise RuntimeError("multiplicative group is not cyclic; tables are corrupt")
+        self.generator = g
+        self._exp = exp
+        self._log = log = [0] * q
+        for i, x in enumerate(exp):
+            log[x] = i
+        logs = log[1:]
+        # a*b = g^(log a + log b); the doubled walk saves the reduction mod q - 1
+        twice = exp * 2
+        self.mul_table = [[0] * q] + [[0, *map(twice[i:].__getitem__, logs)] for i in logs]
+        # -a = (-1)*a, and -1 is the constant p - 1
+        self.neg_table = list(self.mul_table[p - 1])
+        # 1/a = g^(-log a); exp[-i] is exp[q - 1 - i]
+        self.inv_table = [None] + [exp[-i] for i in logs]
 
-    def _find_neg(self, a: int) -> int:
-        row = self.add_table[a]
-        for b in range(self.q):
-            if row[b] == 0:
-                return b
-        raise RuntimeError("no additive inverse; tables are corrupt")
-
-    def _find_inv(self, a: int) -> int:
-        row = self.mul_table[a]
-        for b in range(1, self.q):
-            if row[b] == 1:
-                return b
-        raise RuntimeError(f"element {a} has no multiplicative inverse; modulus not irreducible")
-
-    def _find_generator(self) -> int:
-        """A generator of the multiplicative group; its existence is a field check."""
-        for g in range(1, self.q):
-            if self.element_order(g) == self.q - 1:
-                return g
-        raise RuntimeError("multiplicative group is not cyclic; tables are corrupt")
+    def _times(self, c: int) -> list[int]:
+        """The row a -> c*a, built like add_table: digit j of a adds a multiple of c*x^j."""
+        p, add, modulus = self.p, self.add_table, self.modulus
+        row = [0]
+        coeffs = _value_to_coeffs(c, p, self.k)
+        for _ in range(self.k):
+            multiples = [sum(d * x % p * p**i for i, x in enumerate(coeffs)) for d in range(p)]
+            row = [add[r][m] for m in multiples for r in row]
+            # times x: the digits move up, and the top one comes back as -top * (modulus - x^k)
+            top = coeffs[-1]
+            coeffs = tuple((low - top * m) % p for low, m in zip((0,) + coeffs[:-1], modulus))
+        return row
 
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
@@ -160,26 +145,16 @@ class Field:
         return self.inv_table[a]
 
     def pow(self, a: int, e: int) -> int:
+        if a:
+            return self._exp[self._log[a] * e % (self.q - 1)]
         if e < 0:
-            a = self.inv(a)
-            e = -e
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul_table[result][a]
-            a = self.mul_table[a][a]
-            e >>= 1
-        return result
+            raise ZeroDivisionError("0 has no inverse")
+        return 0 if e else 1
 
     def element_order(self, a: int) -> int:
         if a == 0:
             raise DomainError("0 has no multiplicative order")
-        order = 1
-        x = a
-        while x != 1:
-            x = self.mul_table[x][a]
-            order += 1
-        return order
+        return (self.q - 1) // math.gcd(self._log[a], self.q - 1)
 
     def elements(self) -> range:
         return range(self.q)
@@ -193,10 +168,7 @@ class Field:
         return f"GF({self.q}) mod {self.modulus}"
 
 
+@cache
 def make_field(q: int) -> Field:
-    """Field context for GF(q); contexts are cached and immutable."""
-    field = _FIELD_CACHE.get(q)
-    if field is None:
-        field = Field(q)
-        _FIELD_CACHE[q] = field
-    return field
+    """Field context for GF(q); one per q, and contexts are immutable."""
+    return Field(q)

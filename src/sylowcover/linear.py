@@ -15,6 +15,13 @@ degree (SL(2,17), SL(2,19), GL(2,q) for q >= 17, larger matrix fixtures) the
 engine multiplies matrices entry by entry (:class:`MatrixOps`).  The choice
 is made in one place, :meth:`SquareMatrix.group_ops`.
 
+Both ops come from one cached constructor, ``for_shape``, keyed by the
+class and (q, n): every matrix of a shape, over ``make_field(q)`` or a
+directly built ``Field(q)``, hands the engine the same object, which is how
+``enumerate_group`` sees that generators share a shape.  The vector action
+and PSL(2,q)'s action on the projective line run through one point-action
+helper.
+
 The module also houses the closed-form redundancy deciders for the SL/PSL
 and GL families.
 """
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import product, repeat
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -90,16 +98,15 @@ class SquareMatrix:
         return f"SquareMatrix({self.render()})"
 
     def render(self) -> str:
-        return _render_key(self.key, self.dim, self.field)
+        return self._arithmetic().render(self.key)
 
     def _arithmetic(self) -> "MatrixOps":
         return MatrixOps.for_shape(self.field, self.dim)
 
     def group_ops(self) -> "VectorOps | MatrixOps":
         """The engine's ops for this shape: the action on the nonzero vectors when they number at most MAX_DEGREE."""
-        if self.field.q**self.dim - 1 <= MAX_DEGREE:
-            return VectorOps.for_shape(self.field, self.dim)
-        return self._arithmetic()
+        kind = VectorOps if self.field.q**self.dim - 1 <= MAX_DEGREE else MatrixOps
+        return kind.for_shape(self.field, self.dim)
 
 
 def _flatten(entries) -> list[int]:
@@ -129,27 +136,62 @@ def _gauss_jordan(key: bytes, n: int, f: Field) -> tuple[int, Optional[bytes]]:
     return det, bytes(x for row in rows for x in row[n:])
 
 
-def _mat_vec(f: Field, key: bytes, n: int, v: Sequence[int]) -> tuple[int, ...]:
-    """M*v for the n-by-n matrix M with row-major ``key`` and a column vector v."""
+def _point_action(f: Field, key: bytes, points: Sequence[tuple[int, ...]], locate: Callable[[tuple[int, ...]], int]) -> bytes:
+    """The permutation key of v -> M*v on ``points``, for M's row-major key; ``locate`` places each image."""
+    n = len(points[0])
     add, mul = f.add_table, f.mul_table
-    out = []
-    for i in range(n):
-        acc = 0
-        for m, x in zip(key[i * n:(i + 1) * n], v):
-            acc = add[acc][mul[m][x]]
-        out.append(acc)
-    return tuple(out)
+    rows = [key[i * n:(i + 1) * n] for i in range(n)]
+    images = []
+    for v in points:
+        image = []
+        for row in rows:
+            acc = 0
+            for m, x in zip(row, v):
+                acc = add[acc][mul[m][x]]
+            image.append(acc)
+        images.append(locate(tuple(image)))
+    return bytes(images)
 
 
-def _render_key(key: bytes, n: int, f: Field) -> str:
-    rows = ["[" + ",".join(str(e) for e in key[i * n:(i + 1) * n]) + "]" for i in range(n)]
-    return "[" + ",".join(rows) + f"] over GF({f.q})"
+@cache
+def _shape_ops(kind: type, q: int, dim: int) -> "MatrixOps | VectorOps":
+    """The one ops object of ``kind`` per (q, n): keyed by q, so a directly built Field(q) shares it."""
+    return kind(make_field(q), dim)
 
 
-class MatrixOps:
+class _MatrixShape:
+    """What both ops of a matrix shape share: the cached lookup, and elements in and out as matrix keys."""
+
+    field: Field
+    dim: int
+
+    @classmethod
+    def for_shape(cls, field_: Field, dim: int):
+        return _shape_ops(cls, field_.q, dim)
+
+    def wrap(self, key: bytes) -> SquareMatrix:
+        return SquareMatrix(self.field, None, _key=key)
+
+    def unwrap(self, element: object) -> bytes:
+        if (
+            not isinstance(element, SquareMatrix)
+            or element.dim != self.dim
+            or element.field.q != self.field.q
+        ):
+            raise DomainError(f"expected a {self.dim}x{self.dim} matrix over GF({self.field.q})")
+        return element.key
+
+    def render(self, key: bytes) -> str:
+        n = self.dim
+        rows = ["[" + ",".join(str(e) for e in key[i * n:(i + 1) * n]) + "]" for i in range(n)]
+        return "[" + ",".join(rows) + f"] over GF({self.field.q})"
+
+    def describe(self) -> str:
+        return f"matrix group of dimension {self.dim} over GF({self.field.q})"
+
+
+class MatrixOps(_MatrixShape):
     """Key-level matrix arithmetic for the group engine."""
-
-    _instances: dict[tuple[int, int], "MatrixOps"] = {}
 
     def __init__(self, field_: Field, dim: int):
         self.field = field_
@@ -157,15 +199,6 @@ class MatrixOps:
         self._identity = bytes(1 if i % (dim + 1) == 0 else 0 for i in range(dim * dim))
         # |GL(dim, q)|, a multiple of every element order
         self.exponent = gl_order(dim, field_.q)
-
-    @classmethod
-    def for_shape(cls, field_: Field, dim: int) -> "MatrixOps":
-        shape = (field_.q, dim)
-        inst = cls._instances.get(shape)
-        if inst is None:
-            inst = cls(field_, dim)
-            cls._instances[shape] = inst
-        return inst
 
     def identity_key(self) -> bytes:
         return self._identity
@@ -215,26 +248,8 @@ class MatrixOps:
                 key = self.mul(key, key)
         return self._identity if result is None else result
 
-    def wrap(self, key: bytes) -> SquareMatrix:
-        return SquareMatrix(self.field, None, _key=key)
 
-    def unwrap(self, element: object) -> bytes:
-        if (
-            not isinstance(element, SquareMatrix)
-            or element.dim != self.dim
-            or element.field.q != self.field.q
-        ):
-            raise DomainError(f"expected a {self.dim}x{self.dim} matrix over GF({self.field.q})")
-        return element.key
-
-    def render(self, key: bytes) -> str:
-        return _render_key(key, self.dim, self.field)
-
-    def describe(self) -> str:
-        return f"matrix group of dimension {self.dim} over GF({self.field.q})"
-
-
-class VectorOps(PermutationOps):
+class VectorOps(_MatrixShape, PermutationOps):
     """Matrices over GF(q) as permutations of the q^n - 1 nonzero column vectors, v -> M*v.
 
     ``PermutationOps.mul(a, b)`` applies b first, so M -> (v -> M*v) is a
@@ -246,14 +261,9 @@ class VectorOps(PermutationOps):
     with the zero vector left out.
     """
 
-    _instances: dict[tuple[int, int], "VectorOps"] = {}
-    # MatrixOps' lookup, caching in this class's own dict
-    for_shape = classmethod(MatrixOps.for_shape.__func__)
-
     def __init__(self, field_: Field, dim: int):
         self.field = field_
         self.dim = dim
-        self.matrix = MatrixOps.for_shape(field_, dim)
         self.vectors = list(product(range(field_.q), repeat=dim))[1:]
         self._position = {v: i for i, v in enumerate(self.vectors)}
         self._basis = [self._position[tuple(int(i == j) for i in range(dim))] for j in range(dim)]
@@ -261,8 +271,7 @@ class VectorOps(PermutationOps):
 
     def action_key(self, matrix_key: bytes) -> bytes:
         """The permutation v -> M*v of the nonzero vectors, for M's row-major key."""
-        f, n, position = self.field, self.dim, self._position
-        return bytes(position[_mat_vec(f, matrix_key, n, v)] for v in self.vectors)
+        return _point_action(self.field, matrix_key, self.vectors, self._position.__getitem__)
 
     def matrix_key(self, key: bytes) -> bytes:
         """M's row-major key from its permutation: column j is the image of e_j."""
@@ -270,16 +279,13 @@ class VectorOps(PermutationOps):
         return bytes(column[i] for i in range(self.dim) for column in columns)
 
     def wrap(self, key: bytes) -> SquareMatrix:
-        return SquareMatrix(self.field, None, _key=self.matrix_key(key))
+        return super().wrap(self.matrix_key(key))
 
     def unwrap(self, element: object) -> bytes:
-        return self.action_key(self.matrix.unwrap(element))
+        return self.action_key(super().unwrap(element))
 
     def render(self, key: bytes) -> str:
-        return self.matrix.render(self.matrix_key(key))
-
-    def describe(self) -> str:
-        return self.matrix.describe()
+        return super().render(self.matrix_key(key))
 
 
 @dataclass
@@ -336,12 +342,8 @@ def _projective_points(f: Field) -> list[tuple[int, int]]:
 
 
 def _projective_action(gen: SquareMatrix, points: list[tuple[int, int]], f: Field) -> Permutation:
-    index = {pt: i for i, pt in enumerate(points)}
-    images = []
-    for pt in points:
-        nx, ny = _mat_vec(f, gen.key, 2, pt)
-        images.append(index[(f.mul(nx, f.inv(ny)), 1) if ny else (1, 0)])
-    return Permutation(images)
+    # [x:y] is [x/y:1], which sits at position x/y, or [1:0] at position q
+    return Permutation(_point_action(f, gen.key, points, lambda v: f.mul(v[0], f.inv(v[1])) if v[1] else f.q))
 
 
 def _sl2_group(q: int, cap: Optional[int] = None) -> FiniteGroup:

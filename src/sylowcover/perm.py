@@ -13,7 +13,7 @@ points.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, reduce
 from itertools import chain, compress, repeat, tee
 from operator import add
 from typing import Callable, Container, Iterable, Iterator, Sequence
@@ -150,8 +150,6 @@ class Permutation:
 class PermutationOps:
     """Key-level operations used by the group engine for permutation elements."""
 
-    _instances: dict[int, "PermutationOps"] = {}
-
     def __init__(self, degree: int):
         self.degree = degree
         # translate() wants a full 256-byte table: a key plus this suffix
@@ -160,13 +158,11 @@ class PermutationOps:
         # a multiple of every element order: no cycle is longer than the degree
         self.exponent = math.lcm(*range(1, degree + 1))
 
-    @classmethod
-    def for_degree(cls, degree: int) -> "PermutationOps":
-        inst = cls._instances.get(degree)
-        if inst is None:
-            inst = cls(degree)
-            cls._instances[degree] = inst
-        return inst
+    @staticmethod
+    @cache
+    def for_degree(degree: int) -> "PermutationOps":
+        """The one ops object of a degree."""
+        return PermutationOps(degree)
 
     def identity_key(self) -> bytes:
         return _RANGE256[: self.degree]

@@ -187,6 +187,9 @@ def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
     """
     start = time.perf_counter()
     system = enumerate_sylows(group, p)
+    # the class walk stays even when the orbit view is built (auto falls
+    # through to here after ti-sylow): reading the orbit's map instead would
+    # skip the class view's Frobenius, integrality and partition checks
     witnesses = [x for x, _, m in system.classes if m == 1]
     elapsed = (time.perf_counter() - start) * 1000.0
     return DecisionReport(

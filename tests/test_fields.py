@@ -1,9 +1,15 @@
-import pytest
-from hypothesis import given, strategies as st
+import time
 
-from sylowcover import NotPrimePower, make_field
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sylowcover import Field, NotPrimePower, make_field
+from sylowcover.numtheory import factorization
+
+from oracles import reference_field
 
 FIELD_SIZES = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 25, 27)
+PRIME_POWERS = [q for q in range(2, 257) if len(factorization(q)) == 1]
 
 
 def test_prime_field():
@@ -34,6 +40,8 @@ def test_not_prime_power_rejected():
 def test_multiplicative_group_cyclic(q):
     f = make_field(q)
     assert f.element_order(f.generator) == q - 1
+    # one context per q
+    assert make_field(q) is f and Field(q) is not f
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
@@ -75,3 +83,49 @@ def test_pow_negative_exponent():
     f = make_field(9)
     a = f.generator
     assert f.mul(f.pow(a, -1), a) == 1
+
+
+def _pow_or_error(f, a: int, e: int):
+    try:
+        return f.pow(a, e)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def test_every_prime_power_up_to_the_bound_is_listed():
+    assert len(PRIME_POWERS) == 70 and PRIME_POWERS[-1] == 256
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_field_matches_the_pairwise_reference(q):
+    f, ref = Field(q), reference_field(q)
+    assert f.modulus == ref.modulus
+    assert f.add_table == ref.add_table
+    assert f.mul_table == ref.mul_table
+    assert f.neg_table == ref.neg_table
+    assert f.inv_table == ref.inv_table
+    assert f.generator == ref.generator
+    for e in (-3, -1, 0, 1, 2, 5, q - 1, q):
+        assert [_pow_or_error(f, a, e) for a in range(q)] == [_pow_or_error(ref, a, e) for a in range(q)], e
+    assert [f.element_order(a) for a in range(1, q)] == [ref.element_order(a) for a in range(1, q)]
+
+
+# a reference field is built on first draw of its q, which can outlast the deadline
+@settings(deadline=None)
+@given(st.sampled_from(PRIME_POWERS), st.integers(-(10**6), 10**6))
+def test_pow_matches_the_reference_for_any_exponent(q, e):
+    f, ref = make_field(q), reference_field(q)
+    assert [_pow_or_error(f, a, e) for a in range(q)] == [_pow_or_error(ref, a, e) for a in range(q)]
+
+
+@pytest.mark.parametrize("q", [256, 243])
+def test_largest_fields_build_fast(q):
+    # the tables come from one walk of the generator's powers, not q^2 polynomial products
+    best = min(_build_seconds(q) for _ in range(3))
+    assert best < 0.15, best
+
+
+def _build_seconds(q: int) -> float:
+    start = time.perf_counter()
+    Field(q)
+    return time.perf_counter() - start

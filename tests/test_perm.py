@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from sylowcover import DomainError, Permutation, build_family, symmetric_group
 from sylowcover.numtheory import is_prime
-from sylowcover.perm import invert_key
+from sylowcover.perm import PermutationOps, invert_key
 
 from oracles import (
     compose as oracle_compose,
@@ -89,6 +89,9 @@ def test_batched_scan_matches_cycle_definition(build):
     # and p^k just below the degree (PSL(2,25) on 26 points at p = 5); the
     # p'-scan powers by the p'-part of |G|, reduced to divide lcm(1..degree)
     group = build()
+    # one ops object per degree
+    assert PermutationOps.for_degree(group.ops.degree) is group.ops is group.element(1).group_ops()
+    assert PermutationOps.for_degree(group.ops.degree + 1) is not group.ops
     for p in filter(is_prime, range(2, group.ops.degree + 3)):
         p_elements = [i for i, key in enumerate(group.keys) if is_p_power_order(tuple(key), p)]
         coprime = [i for i, key in enumerate(group.keys) if math.gcd(oracle_order(tuple(key)), p) == 1]

@@ -10,6 +10,7 @@ import pytest
 
 from sylowcover import (
     DomainError,
+    Field,
     SquareMatrix,
     build_family,
     decide_redundant_bruteforce,
@@ -51,6 +52,8 @@ def test_every_element_matches_the_matrix_table(pair):
         element = group.element(i)
         assert type(element) is SquareMatrix
         assert element == reference.element(i), i
+        # one ops object per shape, whatever the element
+        assert element.group_ops() is group.ops and element._arithmetic() is reference.ops, i
         assert group.render(i) == reference.render(i), i
         assert group.index_of(element) == i
 
@@ -90,3 +93,14 @@ def test_the_route_turns_at_255_points():
     sl217 = build_family("SL2", {"q": 17})
     assert type(sl217.ops) is MatrixOps
     assert type(sl217.element(1)) is SquareMatrix and sl217.order == 17 * 288
+    for i in range(0, sl217.order, 97):
+        assert sl217.element(i).group_ops() is sl217.ops and sl217.element(i)._arithmetic() is sl217.ops, i
+
+
+@pytest.mark.parametrize("q", [16, 17])
+def test_a_directly_built_field_shares_the_shape(q):
+    # the ops of a shape are keyed by q, not by the field object
+    direct, cached = Field(q), make_field(q)
+    a, b = SquareMatrix(direct, [[1, 1], [0, 1]]), SquareMatrix(cached, [[1, 0], [1, 1]])
+    assert a.group_ops() is b.group_ops() and a._arithmetic() is b._arithmetic()
+    assert a * b == SquareMatrix(cached, [[cached.add(1, 1), 1], [1, 1]])
