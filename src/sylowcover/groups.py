@@ -26,13 +26,9 @@ with ``ops.exponent``, a multiple of every element order.
 
 Generators act on keys by k -> g^-1*k*g through ``ops.conjugator``, built
 once per group (:meth:`FiniteGroup.conjugators`); only the generators are
-inverted.  The normalizer test is g*h*g^-1 in H for each generator h of H,
-that is g H g^-1 = H; conjugating both sides by g shows this is
-H = g^-1 H g, so it finds the same set as the g^-1*h*g test.  Permutation
-ops test it without inverses (``normalizing_keys``), so no permutation path
-builds the whole-group inverse table; matrix groups past the permutation
-degree bound have no inverse-free conjugate and keep the loop over that
-table.
+inverted.  Every element type's ops answer one protocol (identity, product,
+inverse, conjugator, walk step, powers, normalizer test, element order, and
+conversion at the edges), so the group asks its ops and never probes them.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from itertools import chain, compress, count, filterfalse, islice, tee
 from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
-from .numtheory import factorization, is_prime, p_part
+from .numtheory import is_prime, p_part
 
 DEFAULT_ENUMERATION_CAP = 2_500_000
 BUDGET_ENV_VAR = "SYLOWCOVER_BUDGET"
@@ -229,14 +225,12 @@ class FiniteGroup:
         self.order = len(self._keys)
         self.identity = 0
         self.generators = tuple(map(self._index.__getitem__, gen_keys))
-        self._inv: Optional[list[int]] = None
         self._conjugators: Optional[list[Callable[[bytes], bytes]]] = None
         self._p_elements: dict[int, list[int]] = {}
         # Sylow systems by p; find_sylow's subgroup by p, also when no
         # system was built
         self._sylow_cache: dict[int, object] = {}
         self._sylow_subgroups: dict[int, Subgroup] = {}
-        self._order_factorization: Optional[list[tuple[int, int]]] = None
 
     # -- element access -------------------------------------------------
 
@@ -272,34 +266,14 @@ class FiniteGroup:
         return self._index[self.ops.mul(self._keys[i], self._keys[j])]
 
     def inv(self, i: int) -> int:
-        return self._inverse_table()[i]
-
-    def _inverse_table(self) -> list[int]:
-        """Index of each element's inverse, by index (built once per group)."""
-        table = self._inv
-        if table is None:
-            index = self._index
-            inv = self.ops.inv
-            table = [-1] * self.order
-            # inverses come in pairs, so each pair costs one inversion; the
-            # indices are the dict's own int objects, so the table adds none
-            for k, i in index.items():
-                if table[i] < 0:
-                    j = index[inv(k)]
-                    table[i] = j
-                    table[j] = i
-            self._inv = table
-        return table
+        return self._index[self.ops.inv(self._keys[i])]
 
     def power(self, i: int, e: int) -> int:
+        key = self._keys[i]
         if e < 0:
-            i = self.inv(i)
+            key = self.ops.inv(key)
             e = -e
-        return self._index[self.key_power(self._keys[i], e)]
-
-    def key_power(self, key: bytes, e: int) -> bytes:
-        """key^e for e >= 0, on keys."""
-        return next(self.ops.powers((key,), e))
+        return self._index[next(self.ops.powers((key,), e))]
 
     def conjugators(self) -> list[Callable[[bytes], bytes]]:
         """k -> g^-1 * k * g on keys, one per generator in generator order (built once)."""
@@ -307,23 +281,9 @@ class FiniteGroup:
             self._conjugators = [self.ops.conjugator(self._keys[g]) for g in self.generators]
         return self._conjugators
 
-    def order_factorization(self) -> list[tuple[int, int]]:
-        if self._order_factorization is None:
-            self._order_factorization = factorization(self.order) if self.order > 1 else []
-        return self._order_factorization
-
     def element_order(self, i: int) -> int:
         """Least k >= 1 with x^k = identity."""
-        key, one = self._keys[i], self._keys[self.identity]
-        fast = getattr(self.ops, "key_order", None)
-        if fast is not None:
-            return fast(key)
-        # Start from |G| and strip prime factors that keep the power trivial.
-        order = self.order
-        for p, _ in self.order_factorization():
-            while order % p == 0 and self.key_power(key, order // p) == one:
-                order //= p
-        return order
+        return self.ops.key_order(self._keys[i])
 
     def _power_is_one(self, e: int) -> list[int]:
         """Indices of the x with x^e = identity, ascending: one scan of the table by ``ops.powers``.
@@ -375,32 +335,13 @@ class FiniteGroup:
     def normalizing_elements(
         self, members: Container[bytes], gens: Sequence[bytes], candidates: Iterable[int]
     ) -> Iterator[int]:
-        """The candidates g with g H g^-1 = H, lazily and in the given order.
+        """The candidates g with g^-1 H g = H, lazily and in the given order.
 
-        That is the same set as g^-1 H g = H.  H is given by its member keys
-        and the keys of a generating set.  Ops with a ``normalizing_keys``
-        kernel (permutations) test g*h*g^-1 without inverses; for other ops
-        each generator is conjugated on keys through the inverse table.
+        H is given by its member keys and the keys of a generating set; the
+        test runs on keys in ``ops.normalizing_keys``.
         """
-        kernel = getattr(self.ops, "normalizing_keys", None)
-        if kernel is not None:
-            return map(self._index.__getitem__, kernel(members, gens, map(self._keys.__getitem__, candidates)))
-        return self._normalizing_by_inverses(members, gens, candidates)
-
-    def _normalizing_by_inverses(
-        self, members: Container[bytes], gens: Sequence[bytes], candidates: Iterable[int]
-    ) -> Iterator[int]:
-        keys = self._keys
-        inverses = self._inverse_table()
-        mul = self.ops.mul
-        for g in candidates:
-            gk = keys[g]
-            ginv = keys[inverses[g]]
-            for h in gens:
-                if mul(mul(gk, h), ginv) not in members:
-                    break
-            else:
-                yield g
+        keys = self.ops.normalizing_keys(members, gens, map(self._keys.__getitem__, candidates))
+        return map(self._index.__getitem__, keys)
 
     def subgroup_closure(self, seed: Iterable[int]) -> Subgroup:
         """Smallest subgroup containing the seed indices."""

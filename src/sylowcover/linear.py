@@ -13,7 +13,9 @@ groups.  Elements still enter and leave as :class:`SquareMatrix`, and
 witnesses print as matrices: column j of M is the image of e_j.  Past that
 degree (SL(2,17), SL(2,19), GL(2,q) for q >= 17, larger matrix fixtures) the
 engine multiplies matrices entry by entry (:class:`MatrixOps`).  The choice
-is made in one place, :meth:`SquareMatrix.group_ops`.
+is made in one place, :meth:`SquareMatrix.group_ops`.  ``MatrixOps`` answers
+the same ops protocol as ``PermutationOps``; its normalizer test conjugates
+by inverses, and pairs them within a call so each pair costs one inversion.
 
 Both ops come from one cached constructor, ``for_shape``, keyed by the
 class and (q, n): every matrix of a shape, over ``make_field(q)`` or a
@@ -32,12 +34,12 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from itertools import product, repeat
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed
 from .fields import Field, make_field
 from .groups import FiniteGroup, enumerate_group, pointwise_step, resolve_cap
-from .numtheory import is_prime, prime_power_decomposition
+from .numtheory import factorization, is_prime, prime_power_decomposition
 from .perm import MAX_DEGREE, Permutation, PermutationOps
 
 
@@ -117,6 +119,7 @@ def _flatten(entries) -> list[int]:
 
 def _gauss_jordan(key: bytes, n: int, f: Field) -> tuple[int, Optional[bytes]]:
     """Determinant and inverse key (None when singular) by one Gauss-Jordan elimination."""
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
     rows = [list(key[i * n:(i + 1) * n]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
     det = 1
     for col in range(n):
@@ -125,14 +128,15 @@ def _gauss_jordan(key: bytes, n: int, f: Field) -> tuple[int, Optional[bytes]]:
             return 0, None
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = f.neg(det)
-        det = f.mul(det, rows[col][col])
-        inv_p = f.inv(rows[col][col])
-        rows[col] = [f.mul(x, inv_p) for x in rows[col]]
+            det = neg[det]
+        det = mul[det][rows[col][col]]
+        scale = mul[f.inv(rows[col][col])]
+        rows[col] = [scale[x] for x in rows[col]]
         for r in range(n):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[r], rows[col])]
+            if rows[r][col] and r != col:
+                # x - c*y is x + (-c)*y: one row of mul_table serves the whole row
+                times = mul[neg[rows[r][col]]]
+                rows[r] = [add[x][times[y]] for x, y in zip(rows[r], rows[col])]
     return det, bytes(x for row in rows for x in row[n:])
 
 
@@ -199,6 +203,7 @@ class MatrixOps(_MatrixShape):
         self._identity = bytes(1 if i % (dim + 1) == 0 else 0 for i in range(dim * dim))
         # |GL(dim, q)|, a multiple of every element order
         self.exponent = gl_order(dim, field_.q)
+        self._exponent_primes = [p for p, _ in factorization(self.exponent)]
 
     def identity_key(self) -> bytes:
         return self._identity
@@ -247,6 +252,35 @@ class MatrixOps(_MatrixShape):
             if e:
                 key = self.mul(key, key)
         return self._identity if result is None else result
+
+    def normalizing_keys(self, members: Container[bytes], gens: Sequence[bytes], keys: Iterable[bytes]) -> Iterator[bytes]:
+        """The keys g with g^-1*h*g in H for every generator h, lazily and in order.
+
+        That is g^-1 H g = H, the same set as the permutation test's
+        g H g^-1 = H, since H is finite.  Each inverse is filed with the key
+        it came from, so a later key that is that inverse costs no
+        inversion: a scan of the whole group inverts once per pair {g, g^-1}.
+        """
+        mul = self.mul
+        paired: dict[bytes, bytes] = {}
+        for g in keys:
+            ginv = paired.pop(g, None)
+            if ginv is None:
+                ginv = self.inv(g)
+                paired[ginv] = g
+            for h in gens:
+                if mul(mul(ginv, h), g) not in members:
+                    break
+            else:
+                yield g
+
+    def key_order(self, key: bytes) -> int:
+        """Least k >= 1 with key^k = 1: ``exponent`` with each prime stripped while the power stays trivial."""
+        order = self.exponent
+        for p in self._exponent_primes:
+            while order % p == 0 and self._power(key, order // p) == self._identity:
+                order //= p
+        return order
 
 
 class VectorOps(_MatrixShape, PermutationOps):

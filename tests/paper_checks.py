@@ -360,7 +360,7 @@ def _frattini_subgroup(group: FiniteGroup, sub: Subgroup, p: int) -> KeyClosure:
     members = [keys[x] for x in sub.indices]
     closure = KeyClosure(group)
     for x in members:
-        closure.add(group.key_power(x, p))
+        closure.add(next(group.ops.powers((x,), p)))
     for s in map(keys.__getitem__, sub.generating_indices()):
         sinv = inv(s)
         for x in members:

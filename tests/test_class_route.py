@@ -26,7 +26,7 @@ from sylowcover import (
 )
 from sylowcover import cli, sylow
 from sylowcover.groups import FiniteGroup
-from sylowcover.numtheory import is_prime
+from sylowcover.numtheory import factorization, is_prime
 from sylowcover.perm import Permutation
 from sylowcover.report import DecisionReport
 
@@ -37,7 +37,7 @@ PRIME_POWERS_TO_13 = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
 
 def _check_class_route(group):
-    for p, _ in group.order_factorization():
+    for p, _ in factorization(group.order):
         system = enumerate_sylows(group, p)
         nu = system.nu
         sylow = system.sylows[0].member_set()
@@ -103,7 +103,7 @@ def _check_fresh_brute(build):
     Every p dividing |G| is checked, and the least prime that does not.
     """
     fresh, reference = build(), build()
-    primes = [p for p, _ in reference.order_factorization()]
+    primes = [p for p, _ in factorization(reference.order)]
     primes.append(next(q for q in count(2) if is_prime(q) and reference.order % q))
     for p in primes:
         report = decide_redundant_bruteforce(fresh, p)

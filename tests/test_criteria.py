@@ -16,6 +16,7 @@ from sylowcover import (
     ti_test,
 )
 from sylowcover.criteria import run_structural_criteria
+from sylowcover.numtheory import factorization
 
 from conftest import FIXTURE_DIR, index_closure, permutation_groups
 from paper_checks import (
@@ -126,7 +127,7 @@ def _navarro_by_own_class_walk(group, p):
 
 
 def _check_navarro_against_own_class_walk(group):
-    for p, _ in group.order_factorization():
+    for p, _ in factorization(group.order):
         outcome = navarro_test(group, p)
         assert (outcome.verdict, outcome.evidence["classes_checked"]) == _navarro_by_own_class_walk(group, p), (group, p)
 
@@ -282,7 +283,7 @@ def test_cyclic_quotient_witness_is_the_first_generator_over_the_core(name, s4, 
     groups = {"S4": lambda: s4, "A4": lambda: a4, "A5": lambda: alternating_group(5),
               "S5": lambda: symmetric_group(5)}
     group = groups.get(name, lambda: load_fixture(FIXTURE_DIR / f"{name}.json"))()
-    for p, _ in group.order_factorization():
+    for p, _ in factorization(group.order):
         sylow = find_sylow(group, p)
         core = group.largest_normal_p_subgroup(p).indices
         expected = next(

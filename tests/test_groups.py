@@ -14,10 +14,13 @@ from sylowcover import (
     enumerate_sylows,
     find_sylow,
     load_fixture,
+    make_field,
     symmetric_group,
 )
 
 from sylowcover.groups import KeyClosure, Subgroup
+from sylowcover.linear import MatrixOps, VectorOps
+from sylowcover.numtheory import factorization
 from sylowcover.perm import PermutationOps
 
 from conftest import FIXTURE_DIR, index_closure, permutation_groups
@@ -130,8 +133,8 @@ def test_normalizer_of_whole_group(s4):
 def test_normalizer_matches_definition(name, s4, request):
     # the definition {g : g^-1 H g = H}, through the index table's mul; the
     # permutation groups and the matrix groups on at most 255 nonzero vectors
-    # (sl23_matrix, sl28) take the inverse-free kernel, the matrix group on
-    # 288 vectors (sl217_sub68) the inverse-table loop
+    # (sl23_matrix, sl28) take PermutationOps' inverse-free kernel, the
+    # matrix group on 288 vectors (sl217_sub68) MatrixOps' paired inverses
     if name == "S4":
         group = s4
     elif name == "A5":
@@ -144,8 +147,7 @@ def test_normalizer_matches_definition(name, s4, request):
         group = request.getfixturevalue(name)
     else:
         group = load_fixture(FIXTURE_DIR / f"{name}.json")
-    assert hasattr(group.ops, "normalizing_keys") == (name != "sl217_sub68")
-    for p, _ in group.order_factorization():
+    for p, _ in factorization(group.order):
         sylow = find_sylow(group, p)
         cyclic = group.subgroup_closure([group.p_elements(p)[1]])
         for sub in (sylow, cyclic, group.trivial_subgroup()):
@@ -155,6 +157,22 @@ def test_normalizer_matches_definition(name, s4, request):
                 if {group.mul(group.mul(group.inv(g), x), g) for x in sub.indices} == members
             ]
             assert group.normalizer(sub).indices == tuple(expected), (name, p, sub.order)
+
+
+ENGINE_PROTOCOL = (
+    "identity_key", "mul", "inv", "conjugator", "multiplication_step", "powers",
+    "normalizing_keys", "key_order", "wrap", "unwrap", "render", "describe", "exponent",
+)
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [PermutationOps(4), VectorOps.for_shape(make_field(3), 2), MatrixOps.for_shape(make_field(17), 2)],
+    ids=["PermutationOps", "VectorOps", "MatrixOps"],
+)
+def test_every_ops_answers_the_whole_engine_protocol(ops):
+    # FiniteGroup calls these on its ops and probes none of them
+    assert [name for name in ENGINE_PROTOCOL if not hasattr(ops, name)] == []
 
 
 def test_subgroup_closure_trivial(s4):
@@ -211,7 +229,7 @@ def test_largest_normal_p_subgroup_is_intersection_of_all_sylows(name, s4, a4):
               "S5": lambda: symmetric_group(5)}
     group = groups.get(name, lambda: load_fixture(FIXTURE_DIR / f"{name}.json"))()
     coprime = next(q for q in (2, 3, 5, 7) if group.order % q)
-    for p in [p for p, _ in group.order_factorization()] + [coprime]:
+    for p in [p for p, _ in factorization(group.order)] + [coprime]:
         system = enumerate_sylows(group, p)
         expected = tuple(sorted(x for x, count in system.multiplicity.items() if count == system.nu))
         assert group.largest_normal_p_subgroup(p).indices == expected, (name, p)
@@ -226,6 +244,44 @@ def test_power_negative_exponent(s4):
     x = s4.index_of(Permutation.from_cycles(4, [(1, 2, 3, 4)]))
     assert s4.power(x, -1) == s4.inv(x)
     assert s4.power(x, 0) == s4.identity
+
+
+def test_power_negative_exponent_on_matrix_keys(sl217_sub68):
+    assert type(sl217_sub68.ops) is MatrixOps
+    for x in range(sl217_sub68.order):
+        assert sl217_sub68.power(x, -1) == sl217_sub68.inv(x)
+        assert sl217_sub68.mul(x, sl217_sub68.inv(x)) == sl217_sub68.identity
+
+
+def _count_calls(monkeypatch, owner, name) -> list[int]:
+    """Count the calls to ``owner.name`` in the returned one-item list."""
+    calls = [0]
+    method = getattr(owner, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return method(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_inv_inverts_one_key(a9, monkeypatch):
+    calls = _count_calls(monkeypatch, PermutationOps, "inv")
+    x = a9.order - 1
+    assert a9.mul(x, a9.inv(x)) == a9.identity
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_matrix_normalizer_inverts_once_per_inverse_pair(p, monkeypatch):
+    # SL(2,17) has 4896 elements, two of them (1 and -1) their own inverses:
+    # a whole-group scan that pairs inverses makes (4896 + 2) / 2 inversions
+    group = build_family("SL2", {"q": 17})
+    sylow = find_sylow(group, p)
+    calls = _count_calls(monkeypatch, MatrixOps, "inv")
+    assert group.normalizer(sylow).order == {2: 32, 3: 36}[p]
+    assert calls[0] <= 2449
 
 
 def _pairwise_subgroup(group, members) -> bool:
@@ -257,7 +313,7 @@ def _named_group(name, s4):
 def _subgroups_of(group):
     """Every Sylow subgroup and every element centralizer, as member sets."""
     subs = {centralizer(group, x).member_set() for x in range(group.order)}
-    for p, _ in group.order_factorization():
+    for p, _ in factorization(group.order):
         subs.update(sub.member_set() for sub in enumerate_sylows(group, p).sylows)
     return sorted(subs, key=sorted)
 

@@ -4,9 +4,11 @@
   (``cycle_notation``) against sympy's cycle decomposition, which shares no
   code with sylowcover;
 - ``cycle_lengths_of_key`` against a loop that marks visited points;
-- the key-level ``x^e = 1`` scan behind ``p_elements`` (for ops without a
-  kernel) and ``p_prime_elements``, and the fallback of ``element_order``,
-  against reference loops that multiply indices through ``FiniteGroup.mul``.
+- the key-level ``x^e = 1`` scan behind ``p_elements`` and
+  ``p_prime_elements``, and ``element_order`` (each ops' ``key_order``),
+  against reference loops that multiply indices through ``FiniteGroup.mul``,
+  on permutations, on matrices run as permutations of their vectors, and on
+  matrices multiplied entry by entry (``MatrixOps``).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sylowcover import build_family, load_fixture, symmetric_group
+from sylowcover import SquareMatrix, build_family, enumerate_group, load_fixture, make_field, symmetric_group
 from sylowcover.numtheory import factorization, p_part
 from sylowcover.perm import cycle_lengths_of_key, cycle_notation, cycles_of_key
 
@@ -73,6 +75,10 @@ GROUPS = {
     "SL(2,8)": lambda: build_family("SL2", {"q": 8}),
     "GL(2,4)": lambda: build_family("GL", {"n": 2, "q": 4}),
     "S_5": lambda: symmetric_group(5),
+    # 288 nonzero vectors, past the permutation degree bound: MatrixOps
+    "C17 : C4 in SL(2,17)": lambda: enumerate_group(
+        [SquareMatrix(make_field(17), [[1, 1], [0, 1]]), SquareMatrix(make_field(17), [[4, 0], [0, 13]])]
+    ),
 }
 
 
