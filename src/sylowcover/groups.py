@@ -29,6 +29,9 @@ once per group (:meth:`FiniteGroup.conjugators`); only the generators are
 inverted.  Every element type's ops answer one protocol (identity, product,
 inverse, conjugator, walk step, powers, normalizer test, element order, and
 conversion at the edges), so the group asks its ops and never probes them.
+Both normalizer tests check g^-1*h*g in H for each generator h of H; the
+permutation one first drops the candidates that break the sizes of H's orbits
+on points, which no element of N_G(H) does.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import chain, compress, count, filterfalse, islice, tee
-from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
 from .numtheory import is_prime, p_part
@@ -333,7 +336,7 @@ class FiniteGroup:
         return Subgroup(self, self.normalizing_elements(members, gens, range(self.order)))
 
     def normalizing_elements(
-        self, members: Container[bytes], gens: Sequence[bytes], candidates: Iterable[int]
+        self, members: Collection[bytes], gens: Sequence[bytes], candidates: Iterable[int]
     ) -> Iterator[int]:
         """The candidates g with g^-1 H g = H, lazily and in the given order.
 

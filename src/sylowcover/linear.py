@@ -14,8 +14,9 @@ witnesses print as matrices: column j of M is the image of e_j.  Past that
 degree (SL(2,17), SL(2,19), GL(2,q) for q >= 17, larger matrix fixtures) the
 engine multiplies matrices entry by entry (:class:`MatrixOps`).  The choice
 is made in one place, :meth:`SquareMatrix.group_ops`.  ``MatrixOps`` answers
-the same ops protocol as ``PermutationOps``; its normalizer test conjugates
-by inverses, and pairs them within a call so each pair costs one inversion.
+the same ops protocol as ``PermutationOps``; its normalizer test, like the
+permutation one, checks g^-1*h*g in H, and pairs inverses within a call so
+each pair costs one inversion.
 
 Both ops come from one cached constructor, ``for_shape``, keyed by the
 class and (q, n): every matrix of a shape, over ``make_field(q)`` or a

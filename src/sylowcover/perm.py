@@ -4,7 +4,11 @@ A permutation is stored as ``bytes`` where byte ``i`` is the image of point
 ``i``.  Composition is delegated to ``bytes.translate``, and the group
 engine's hot loops run as chains of C-level maps over whole lists of keys:
 the step of the element-table walk, the x^e = 1 scan
-(:meth:`PermutationOps.powers`) and the normalizer test.  The chains stay
+(:meth:`PermutationOps.powers`) and the normalizer test
+(:meth:`PermutationOps.normalizing_keys`).  The normalizer test drops each
+key that does not carry every orbit of H on points onto an orbit of the same
+size, then tests g^-1*h*g in H on the rest, taking g^-1's translate table
+from ``bytes.maketrans``: one 256-byte table per key.  The chains stay
 lazy, so no list of 256-byte translate tables is built.  Degrees are capped
 at 255 accordingly; the groups this package enumerates act on far fewer
 points.
@@ -16,7 +20,7 @@ import math
 from functools import cache, reduce
 from itertools import chain, compress, repeat, tee
 from operator import add
-from typing import Callable, Container, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 
@@ -223,29 +227,47 @@ class PermutationOps:
             base, padded = tee(base)
             base = map(bytes.translate, base, map(add, padded, repeat(pad)))
 
-    def normalizing_keys(self, members: Container[bytes], gens: Sequence[bytes], keys: Iterable[bytes]) -> Iterator[bytes]:
-        """The keys g with g*h*g^-1 in H for every generator h, lazily and in order.
+    def normalizing_keys(self, members: Collection[bytes], gens: Sequence[bytes], keys: Iterable[bytes]) -> Iterator[bytes]:
+        """The keys g with g^-1*h*g in H for every generator h, lazily and in order.
 
-        H is given by its member keys and the keys of a generating set.
-        ``h.translate(g + pad)`` is g*h, and the translate table that
-        ``bytes.maketrans(g, g*h)`` builds sends g[i] to g[h[i]]: it is
-        g*h*g^-1 on the points, so no inverse is formed.  Translating the
-        identity key through it gives g*h*g^-1 as a key, which is looked up
-        among H's member keys.  The first generator is tested on every key
-        in one chain of C-level maps; only its few survivors meet the other
-        generators in Python.
+        H is given by its member keys and the keys of a generating set.  A g
+        with g^-1*H*g = H sends each H-orbit on points onto an H-orbit of the
+        same size, so a key is first checked against the orbit sizes, read
+        once per call from the member keys: ``g.translate(sizes + pad)``, the
+        size of the orbit of each g[i], must equal ``sizes``.  Keys that fail
+        are dropped untested; when every orbit has one size, no key can fail
+        and the check is skipped.  The exact test follows on the survivors:
+        ``bytes.maketrans(g, identity)`` is g^-1's translate table, so
+        ``g.translate(h + pad).translate(g^-1's table)`` is g^-1*h*g as a
+        key, one 256-byte table per key, and it is looked up among H's member
+        keys.  Since H is finite, g^-1*h*g in H for every generator h means
+        g^-1*H*g = H.  The size check and the first generator's test run on
+        every key in one chain of C-level maps; only the few survivors meet
+        the other generators in Python.
         """
         if not gens:
             return iter(keys)
         pad = self._pad
-        cut = self._identity.translate
-        first, *rest = gens
-        keys, probe, padded = tee(keys, 3)
-        conjugates = map(cut, map(bytes.maketrans, probe, map(first.translate, map(add, padded, repeat(pad)))))
+        identity = self._identity
+        # byte i is the size of i's H-orbit, the set of the i-th bytes of H's members
+        sizes = bytes(map(len, map(set, zip(*members))))
+        if len(set(sizes)) > 1:
+            keys, probe = tee(keys)
+            keys = compress(keys, map(sizes.__eq__, map(bytes.translate, probe, repeat(sizes + pad))))
+        first, *rest = [h + pad for h in gens]
+        keys, probe, inverses = tee(keys, 3)
+        conjugates = map(
+            bytes.translate, map(bytes.translate, probe, repeat(first)), map(bytes.maketrans, inverses, repeat(identity))
+        )
         survivors = compress(keys, map(members.__contains__, conjugates))
         if not rest:
             return survivors
-        return (g for g in survivors if all(cut(bytes.maketrans(g, h.translate(g + pad))) in members for h in rest))
+
+        def normalizes(g: bytes) -> bool:
+            ginv = bytes.maketrans(g, identity)
+            return all(g.translate(h).translate(ginv) in members for h in rest)
+
+        return filter(normalizes, survivors)
 
     def wrap(self, key: bytes) -> Permutation:
         return Permutation._from_key(key)

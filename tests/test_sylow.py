@@ -275,8 +275,9 @@ def test_find_sylow_matches_the_inverse_table_reference(name):
 
 
 def test_permutation_paths_invert_no_element(monkeypatch):
-    # the conjugators invert by bytes.maketrans and the normalizer test needs
-    # no inverse, so the whole pipeline makes no PermutationOps.inv call
+    # the conjugators and the normalizer test both take g^-1's translate table
+    # from bytes.maketrans(g, identity), never from ops.inv, so the whole
+    # pipeline makes no PermutationOps.inv call
     inv = PermutationOps.inv
     calls = []
     monkeypatch.setattr(PermutationOps, "inv", lambda self, a: calls.append(a) or inv(self, a))
