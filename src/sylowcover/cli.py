@@ -71,11 +71,13 @@ def family_fast_decision(name: str, params: dict, p: int, cap: Optional[int] = N
             return None
     elif name in ("SL2", "PSL2"):
         redundant, method = theorem_D_decide(name, params["q"], p).redundant, "theorem-D"
-    else:
+    elif name == "GL":
         try:
             redundant, method = theorem_51_decide(params["n"], params["q"], p).redundant, "theorem-5.1"
         except HypothesisFailed:
             return None
+    else:
+        return None
     family, digits = FAMILIES[name], getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits and family.log10_order(**params) >= digits:
         raise DomainError(f"|{family.describe(params)}| has more than {digits} digits to print")

@@ -20,27 +20,21 @@ def cyclic_quotient_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     unique-Sylow witness.
 
     O_p(G) is normal, so <O_p, x> = O_p<x> has order |O_p| * k for the least
-    k >= 1 with x^k in O_p: x generates P over the core exactly when
-    k = |P : O_p|.  The witness is the first such x of the Sylow subgroup's
-    indices, and k is found by multiplying on keys.
+    k >= 1 with x^k in O_p, a power of p dividing m = |P : O_p|: x generates
+    P over the core exactly when k = m, that is, when m = 1 or x^(m/p) is
+    not in O_p.  The witness is the first such x of the Sylow subgroup's
+    indices; the powers come from one ``ops.powers`` call over P's keys.
     """
     sylow = find_sylow(group, p)
     core = group.largest_normal_p_subgroup(p)
     keys = group.keys
-    mul = group.ops.mul
     core_keys = {keys[c] for c in core.indices}
     quotient = sylow.order // core.order
-    witness = None
-    for x in sylow.indices:
-        xk = keys[x]
-        power = xk
-        k = 1
-        while power not in core_keys:
-            power = mul(power, xk)
-            k += 1
-        if k == quotient:
-            witness = x
-            break
+    if quotient == 1:
+        witness = sylow.indices[0]
+    else:
+        powers = group.ops.powers(map(keys.__getitem__, sylow.indices), quotient // p)
+        witness = next((x for x, power in zip(sylow.indices, powers) if power not in core_keys), None)
     evidence = {
         "sylow_order": sylow.order,
         "core_order": core.order,

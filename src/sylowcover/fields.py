@@ -130,14 +130,8 @@ class Field:
     def add(self, a: int, b: int) -> int:
         return self.add_table[a][b]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
 
     def inv(self, a: int) -> int:
         if a == 0:

@@ -29,9 +29,12 @@ once per group (:meth:`FiniteGroup.conjugators`); only the generators are
 inverted.  Every element type's ops answer one protocol (identity, product,
 inverse, conjugator, walk step, powers, normalizer test, element order, and
 conversion at the edges), so the group asks its ops and never probes them.
-Both normalizer tests check g^-1*h*g in H for each generator h of H; the
-permutation one first drops the candidates that break the sizes of H's orbits
-on points, which no element of N_G(H) does.
+Both normalizer tests check g^-1*h*g in H for each generator h of H, and
+hand back the normalizing keys of the candidates in order: ``normalizer``
+scans the whole table, ``find_sylow`` the p-elements outside P.  The
+permutation one is a chain with one stage per generator, after a stage that
+drops the candidates breaking the sizes of H's orbits on points, which no
+element of N_G(H) does.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import math
 import os
 from itertools import chain, compress, count, filterfalse, islice, tee
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
 from .numtheory import is_prime, p_part
@@ -333,18 +336,7 @@ class FiniteGroup:
         keys = self._keys
         members = {keys[h] for h in subgroup.indices}
         gens = [keys[h] for h in subgroup.generating_indices()]
-        return Subgroup(self, self.normalizing_elements(members, gens, range(self.order)))
-
-    def normalizing_elements(
-        self, members: Collection[bytes], gens: Sequence[bytes], candidates: Iterable[int]
-    ) -> Iterator[int]:
-        """The candidates g with g^-1 H g = H, lazily and in the given order.
-
-        H is given by its member keys and the keys of a generating set; the
-        test runs on keys in ``ops.normalizing_keys``.
-        """
-        keys = self.ops.normalizing_keys(members, gens, map(self._keys.__getitem__, candidates))
-        return map(self._index.__getitem__, keys)
+        return Subgroup(self, map(self._index.__getitem__, self.ops.normalizing_keys(members, gens, keys)))
 
     def subgroup_closure(self, seed: Iterable[int]) -> Subgroup:
         """Smallest subgroup containing the seed indices."""

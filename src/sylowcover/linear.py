@@ -66,10 +66,6 @@ class SquareMatrix:
         if self.det() == 0:
             raise DomainError("matrix is singular")
 
-    @property
-    def entries(self) -> tuple[int, ...]:
-        return tuple(self.key)
-
     @classmethod
     def identity(cls, field_: Field, dim: int) -> "SquareMatrix":
         entries = [[1 if i == j else 0 for j in range(dim)] for i in range(dim)]

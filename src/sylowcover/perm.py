@@ -5,13 +5,13 @@ A permutation is stored as ``bytes`` where byte ``i`` is the image of point
 engine's hot loops run as chains of C-level maps over whole lists of keys:
 the step of the element-table walk, the x^e = 1 scan
 (:meth:`PermutationOps.powers`) and the normalizer test
-(:meth:`PermutationOps.normalizing_keys`).  The normalizer test drops each
-key that does not carry every orbit of H on points onto an orbit of the same
-size, then tests g^-1*h*g in H on the rest, taking g^-1's translate table
-from ``bytes.maketrans``: one 256-byte table per key.  The chains stay
-lazy, so no list of 256-byte translate tables is built.  Degrees are capped
-at 255 accordingly; the groups this package enumerates act on far fewer
-points.
+(:meth:`PermutationOps.normalizing_keys`).  The normalizer test is one
+stage that drops each key not carrying every orbit of H on points onto an
+orbit of the same size, then one stage per generator h of H that tests
+g^-1*h*g in H on the previous stage's survivors, taking g^-1's translate
+table from ``bytes.maketrans``.  The chains stay lazy, so no list of
+256-byte translate tables is built.  Degrees are capped at 255 accordingly;
+the groups this package enumerates act on far fewer points.
 """
 
 from __future__ import annotations
@@ -232,42 +232,33 @@ class PermutationOps:
 
         H is given by its member keys and the keys of a generating set.  A g
         with g^-1*H*g = H sends each H-orbit on points onto an H-orbit of the
-        same size, so a key is first checked against the orbit sizes, read
-        once per call from the member keys: ``g.translate(sizes + pad)``, the
-        size of the orbit of each g[i], must equal ``sizes``.  Keys that fail
-        are dropped untested; when every orbit has one size, no key can fail
-        and the check is skipped.  The exact test follows on the survivors:
-        ``bytes.maketrans(g, identity)`` is g^-1's translate table, so
-        ``g.translate(h + pad).translate(g^-1's table)`` is g^-1*h*g as a
-        key, one 256-byte table per key, and it is looked up among H's member
-        keys.  Since H is finite, g^-1*h*g in H for every generator h means
-        g^-1*H*g = H.  The size check and the first generator's test run on
-        every key in one chain of C-level maps; only the few survivors meet
-        the other generators in Python.
+        same size, so the first stage checks each key against the orbit
+        sizes, read once per call from the member keys:
+        ``g.translate(sizes + pad)``, the size of the orbit of each g[i],
+        must equal ``sizes``.  Keys that fail are dropped untested; when every
+        orbit has one size, no key can fail and the stage is left out.  Each
+        generator h then adds one stage that tests h on the previous stage's
+        survivors: ``bytes.maketrans(g, identity)`` is g^-1's translate
+        table, so ``g.translate(h + pad).translate(g^-1's table)`` is
+        g^-1*h*g as a key, and it is looked up among H's member keys.  Since
+        H is finite, g^-1*h*g in H for every generator h means g^-1*H*g = H.
+        Every stage is C-level maps fed by ``tee``, so the chain holds a few
+        keys and one 256-byte table per stage at a time.
         """
-        if not gens:
-            return iter(keys)
         pad = self._pad
         identity = self._identity
+        keys = iter(keys)
         # byte i is the size of i's H-orbit, the set of the i-th bytes of H's members
         sizes = bytes(map(len, map(set, zip(*members))))
         if len(set(sizes)) > 1:
             keys, probe = tee(keys)
             keys = compress(keys, map(sizes.__eq__, map(bytes.translate, probe, repeat(sizes + pad))))
-        first, *rest = [h + pad for h in gens]
-        keys, probe, inverses = tee(keys, 3)
-        conjugates = map(
-            bytes.translate, map(bytes.translate, probe, repeat(first)), map(bytes.maketrans, inverses, repeat(identity))
-        )
-        survivors = compress(keys, map(members.__contains__, conjugates))
-        if not rest:
-            return survivors
-
-        def normalizes(g: bytes) -> bool:
-            ginv = bytes.maketrans(g, identity)
-            return all(g.translate(h).translate(ginv) in members for h in rest)
-
-        return filter(normalizes, survivors)
+        for h in gens:
+            keys, probe, inverses = tee(keys, 3)
+            images = map(bytes.translate, probe, repeat(h + pad))
+            conjugates = map(bytes.translate, images, map(bytes.maketrans, inverses, repeat(identity)))
+            keys = compress(keys, map(members.__contains__, conjugates))
+        return keys
 
     def wrap(self, key: bytes) -> Permutation:
         return Permutation._from_key(key)

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heapreplace
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Optional
 
 from .errors import DomainError
@@ -127,12 +127,13 @@ class CoverResult:
 def find_sylow(group: FiniteGroup, p: int) -> Subgroup:
     """A Sylow p-subgroup, grown deterministically and cached per (group, p).
 
-    Starts from the cyclic subgroup on the lowest-index nonidentity p-element
-    and, while the order is short of the p-part of |G|, adjoins the
-    lowest-index p-element outside the current subgroup that normalizes it.
-    A proper p-subgroup always admits such an element, so this terminates.
-    One closure grows on element keys, generated by the seed and the
-    extensions found so far.
+    Starts from the trivial subgroup and, while the order is short of the
+    p-part of |G|, adjoins the lowest-index p-element outside the current
+    subgroup that normalizes it, found by ``ops.normalizing_keys``.  Every
+    p-element normalizes the trivial subgroup, so the first round takes the
+    lowest-index nonidentity p-element, and a proper p-subgroup always
+    admits such an element, so this terminates.  One closure grows on
+    element keys, generated by the extensions found so far.
     """
     if not is_prime(p):
         raise DomainError(f"p must be prime, got {p}")
@@ -140,22 +141,16 @@ def find_sylow(group: FiniteGroup, p: int) -> Subgroup:
     if cached is not None:
         return cached
     target = p_part(group.order, p)
-    if target == 1:
-        sylow = group.trivial_subgroup()
-    else:
-        keys = group.keys
-        p_els = group.p_elements(p)
-        closure = KeyClosure(group)
-        closure.add(keys[next(x for x in p_els if x != group.identity)])
-        # each add replaces closure.members, so it is read afresh every round
-        while len(closure.members) < target:
-            members = closure.members
-            outside = (x for x in p_els if keys[x] not in members)
-            extension = next(group.normalizing_elements(members, closure.gens, outside), None)
-            if extension is None:
-                raise RuntimeError("no normalizing p-element found; group table is corrupt")
-            closure.add(keys[extension])
-        sylow = closure.subgroup()
+    keys = group.keys
+    closure = KeyClosure(group)
+    # each add replaces closure.members, so it is read afresh every round
+    while len(closure.members) < target:
+        members = closure.members
+        outside = filterfalse(members.__contains__, map(keys.__getitem__, group.p_elements(p)))
+        extension = next(group.ops.normalizing_keys(members, closure.gens, outside), None)
+        if extension is None or not closure.add(extension):
+            raise RuntimeError("no normalizing p-element outside the subgroup; group table is corrupt")
+    sylow = closure.subgroup()
     group._sylow_subgroups[p] = sylow
     return sylow
 

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,15 @@ def test_gl_1_2_is_the_trivial_group(capsys, method):
     assert (report.order, report.verdict) == (1, "not-redundant")
     if method == "brute":
         assert report.nu_p == 1
+
+
+@pytest.mark.parametrize("n, q", [(2, 7), (3, 4)])
+def test_a_family_without_a_closed_form_gets_no_fast_answer(monkeypatch, n, q):
+    # Theorem 5.1 is about GL(n,q) alone: a family added to the table, say
+    # PSL(n,q), must fall through to enumeration, not borrow GL's answer
+    # (PSL(3,4) is not redundant at p = 3, where GL(3,4) is)
+    monkeypatch.setitem(cli.FAMILIES, "PSL", replace(cli.FAMILIES["GL"], label="PSL({n},{q})"))
+    assert cli.family_fast_decision("PSL", {"n": n, "q": q}, 3) is None
 
 
 def test_closed_form_witnesses_match_the_element_rendering():
