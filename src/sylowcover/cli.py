@@ -22,7 +22,7 @@ import functools
 import json
 import sys
 import time
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .criteria import run_structural_criteria
 from .errors import ClosureBudgetExceeded, DomainError, HypothesisFailed, SylowCoverError
@@ -186,27 +186,27 @@ def cmd_cover(args) -> tuple[int, str]:
     return EXIT_OK, "\n".join(lines)
 
 
-def _verify_case(name: str, params: dict, p: int, budget: Optional[int]) -> dict:
-    row: dict = {"family": name, **params, "p": p}
-    fast = family_fast_decision(name, params, p, budget)
-    row["fast"] = fast.verdict if fast is not None else None
-    group = build_family(name, params, cap=budget)
-    brute = _brute_answer(group, p)
-    row["brute"] = brute.verdict
-    row["nu_p"] = brute.nu_p
-    row["agree"] = row["fast"] is None or row["fast"] == brute.verdict
-    if name == "Sn" and p == 2:
-        # the orbit view of brute force's system, a second route to its class-view answer
-        system = enumerate_sylows(group, p)
-        witnesses = system.unique_witnesses()
-        predicted = {
-            x for x in system.p_elements
-            if theorem_C_decide(group.element(x).cycle_type())
-        }
-        row["witness_sets_match"] = predicted == set(witnesses)
-        orbit_answer = ("not-redundant", group.render(witnesses[0])) if witnesses else ("redundant", None)
-        row["agree"] = row["agree"] and row["witness_sets_match"] and orbit_answer == (brute.verdict, brute.witness)
-    return row
+def _verify_case(name: str, params: dict, p_values: list[int], budget: Optional[int]) -> Iterator[dict]:
+    """One row per p, in order: the group is built once per case, after the first p's closed form."""
+    group = None
+    for p in p_values:
+        row: dict = {"family": name, **params, "p": p}
+        fast = family_fast_decision(name, params, p, budget)
+        row["fast"] = fast.verdict if fast is not None else None
+        group = group or build_family(name, params, cap=budget)
+        brute = _brute_answer(group, p)
+        row["brute"] = brute.verdict
+        row["nu_p"] = brute.nu_p
+        row["agree"] = row["fast"] is None or row["fast"] == brute.verdict
+        if name == "Sn" and p == 2:
+            # the orbit view of brute force's system, a second route to its class-view answer
+            system = enumerate_sylows(group, p)
+            witnesses = system.unique_witnesses()
+            predicted = {x for x in system.p_elements if theorem_C_decide(group.element(x).cycle_type())}
+            row["witness_sets_match"] = predicted == set(witnesses)
+            orbit_answer = ("not-redundant", group.render(witnesses[0])) if witnesses else ("redundant", None)
+            row["agree"] = row["agree"] and row["witness_sets_match"] and orbit_answer == (brute.verdict, brute.witness)
+        yield row
 
 
 def _int_list(flag: str, text: str) -> list[int]:
@@ -247,7 +247,7 @@ def cmd_verify(args, p_values: list[int]) -> tuple[int, str]:
             raise DomainError(f"verify --family {args.family} starts at n = {low}: --max-n {args.max_n} leaves no case")
         # lazy: the sweep stops at the first group past the cap however large --max-n is
         cases = ({"n": n} for n in range(low, args.max_n + 1))
-    rows = [_verify_case(args.family, params, p, args.budget) for params in cases for p in p_values]
+    rows = [row for params in cases for row in _verify_case(args.family, params, p_values, args.budget)]
     all_agree = all(row["agree"] for row in rows)
     if args.format == "json":
         return (EXIT_OK if all_agree else EXIT_DISAGREEMENT), json.dumps(rows, indent=2)

@@ -22,22 +22,20 @@ def cyclic_quotient_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     O_p(G) is normal, so <O_p, x> = O_p<x> has order |O_p| * k for the least
     k >= 1 with x^k in O_p, a power of p dividing m = |P : O_p|: x generates
     P over the core exactly when k = m, that is, when m = 1 or x^(m/p) is
-    not in O_p.  The witness is the first such x of the Sylow subgroup's
-    indices; the powers come from one ``ops.powers`` call over P's keys.
+    not in O_p.  The witness is the lowest-index such x; the powers come
+    from one ``ops.powers`` call over P's keys.
     """
     sylow = find_sylow(group, p)
-    core = group.largest_normal_p_subgroup(p)
-    keys = group.keys
-    core_keys = {keys[c] for c in core.indices}
-    quotient = sylow.order // core.order
+    core = group.largest_normal_p_subgroup(p).keys
+    quotient = sylow.order // len(core)
     if quotient == 1:
         witness = sylow.indices[0]
     else:
-        powers = group.ops.powers(map(keys.__getitem__, sylow.indices), quotient // p)
-        witness = next((x for x, power in zip(sylow.indices, powers) if power not in core_keys), None)
+        powers = group.ops.powers(sylow.keys, quotient // p)
+        witness = min((group.key_index[x] for x, power in zip(sylow.keys, powers) if power not in core), default=None)
     evidence = {
         "sylow_order": sylow.order,
-        "core_order": core.order,
+        "core_order": len(core),
         "cyclic_quotient": witness is not None,
     }
     if witness is not None:
@@ -54,12 +52,9 @@ def ti_test(group: FiniteGroup, p: int) -> CriterionOutcome:
     first against all others.
     """
     system = enumerate_sylows(group, p)
-    base = system.sylows[0].member_set()
-    worst = 1
-    for other in system.sylows[1:]:
-        size = len(base & other.member_set())
-        if size > worst:
-            worst = size
+    base = system.sylows[0].keys
+    # every intersection holds the identity, so 1 is the floor and nu = 1's answer
+    worst = max((len(base & other.keys) for other in system.sylows[1:]), default=1)
     evidence = {"nu_p": system.nu, "largest_pairwise_intersection": worst}
     if worst == 1:
         nontrivial = [x for x in system.sylows[0].indices if x != group.identity]

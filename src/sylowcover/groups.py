@@ -15,12 +15,13 @@ matrix groups past ``perm.MAX_DEGREE`` nonzero vectors use :func:`orbit`,
 the same walk with one ``act(point, g)`` call per image; smaller matrix
 groups run as permutations of their vectors (``linear.VectorOps``).
 
-Subgroups, Sylow systems and every result handed out name elements by index.
 The hot loops (the p-element scan, powers, subgroup closures, normalizer
 membership and the Sylow orbit, which conjugates P's key set) run on element
-keys through a small key-level ops object and convert to indices only where
-a result leaves the loop; a key -> index -> key round trip per product would
-cost more than the product.  The p-element and p'-element scans are one test
+keys through a small key-level ops object; a key -> index -> key round trip
+per product would cost more than the product.  A :class:`Subgroup` is the
+set of its member keys, which every such loop takes and returns as it is;
+its ascending indices are worked out inside it when first read.  Witnesses,
+p-element lists and Sylow and cover choices are handed out by index.  The p-element and p'-element scans are one test
 x^e = 1 over the whole table, by ``ops.powers`` with e reduced to its gcd
 with ``ops.exponent``, a multiple of every element order.
 
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 import math
 import os
-from itertools import chain, compress, count, filterfalse, islice, tee
+from itertools import chain, compress, count, filterfalse, islice, repeat, tee
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ClosureBudgetExceeded, DomainError
@@ -120,36 +121,56 @@ def _check_cap(order: int, cap: Optional[int] = None) -> None:
 
 
 class Subgroup:
-    """A subgroup of an enumerated group, stored as a sorted index set."""
+    """A subgroup of an enumerated group, stored as the frozenset ``keys`` of its member keys.
 
-    __slots__ = ("group", "indices", "_set", "_generators")
+    ``indices`` (ascending) and ``member_set()`` are worked out from the keys
+    on first read.  Engine results come in through :meth:`of_keys`.
+    """
+
+    __slots__ = ("group", "keys", "_set", "_indices", "_generators")
 
     def __init__(self, group: "FiniteGroup", indices: Iterable[int]):
-        self.group = group
-        # frozenset() of a frozenset is the same object, so a caller that
-        # already holds the member set hands it over without a copy
-        self._set = frozenset(indices)
-        self.indices = tuple(sorted(self._set))
-        self._generators: Optional[tuple[int, ...]] = None
-        if group.identity not in self._set:
+        index_set = frozenset(indices)
+        if index_set and not (0 <= min(index_set) and max(index_set) < group.order):
+            raise DomainError(f"element indices must lie in range({group.order})")
+        self._adopt(group, frozenset(map(group.keys.__getitem__, index_set)), index_set)
+
+    @classmethod
+    def of_keys(cls, group: "FiniteGroup", keys: Iterable[bytes]) -> "Subgroup":
+        """The subgroup whose members are ``keys``, element keys of ``group``."""
+        sub = cls.__new__(cls)
+        sub._adopt(group, frozenset(keys), None)
+        return sub
+
+    def _adopt(self, group: "FiniteGroup", keys: frozenset[bytes], index_set: Optional[frozenset[int]]) -> None:
+        if group.keys[group.identity] not in keys:
             raise DomainError("subgroup must contain the identity")
-        if group.order % len(self.indices) != 0:
-            raise DomainError(
-                f"index-set size {len(self.indices)} does not divide the group order {group.order}"
-            )
+        if group.order % len(keys):
+            raise DomainError(f"subgroup order {len(keys)} does not divide the group order {group.order}")
+        self.group, self.keys, self._set = group, keys, index_set
+        self._indices = self._generators = None
 
     @property
     def order(self) -> int:
-        return len(self.indices)
+        return len(self.keys)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        """The member indices, ascending."""
+        if self._indices is None:
+            self._indices = tuple(sorted(self.member_set()))
+        return self._indices
 
     def __contains__(self, index: int) -> bool:
-        return index in self._set
+        return index in self.member_set()
 
     def member_set(self) -> frozenset[int]:
+        if self._set is None:
+            self._set = frozenset(map(self.group.key_index.__getitem__, self.keys))
         return self._set
 
     def verify(self) -> None:
-        """Check that the index set is a subgroup; raise DomainError if not.
+        """Check that the member set is a subgroup; raise DomainError if not.
 
         S = ``generating_indices()`` lies in H and generates a group
         containing H.  If H*s lies in H for every s in S, H holds every
@@ -157,15 +178,9 @@ class Subgroup:
         that subgroup: |H|*|S| products instead of the |H|^2 of the pairwise
         definition, with the same answer.  Inverses follow from closure.
         """
-        g = self.group
-        keys = g.keys
-        mul = g.ops.mul
-        members = {keys[x] for x in self.indices}
-        for s in self.generating_indices():
-            sk = keys[s]
-            for h in members:
-                if mul(h, sk) not in members:
-                    raise DomainError("index set is not closed under products")
+        mul, members = self.group.ops.mul, self.keys
+        if not all(members.issuperset(map(mul, members, repeat(s))) for s in self.generating_keys()):
+            raise DomainError("index set is not closed under products")
 
     def generating_indices(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily by ascending index."""
@@ -173,15 +188,15 @@ class Subgroup:
             self._generators = self.group.minimal_generating_indices(self.indices)
         return self._generators
 
+    def generating_keys(self) -> list[bytes]:
+        """The keys of ``generating_indices()``, in the same order."""
+        return list(map(self.group.keys.__getitem__, self.generating_indices()))
+
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Subgroup)
-            and other.group is self.group
-            and other._set == self._set
-        )
+        return isinstance(other, Subgroup) and other.group is self.group and other.keys == self.keys
 
     def __hash__(self) -> int:
-        return hash(self._set)
+        return hash(self.keys)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order} of |G|={self.group.order})"
@@ -216,7 +231,7 @@ class KeyClosure:
         return True
 
     def subgroup(self) -> Subgroup:
-        return Subgroup(self._group, map(self._group.key_index.__getitem__, self.elements))
+        return Subgroup.of_keys(self._group, self.elements)
 
 
 class FiniteGroup:
@@ -226,11 +241,11 @@ class FiniteGroup:
         self.ops = ops
         self.name = name
         gen_keys = list(dict.fromkeys(generator_keys))
-        # the orbit of 1 under right multiplication; its position dict is the index
-        self._keys, self._index = walk_orbit(ops.identity_key(), ops.multiplication_step(gen_keys), resolve_cap(cap))
-        self.order = len(self._keys)
+        # the orbit of 1 under right multiplication and its position dict; read-only
+        self.keys, self.key_index = walk_orbit(ops.identity_key(), ops.multiplication_step(gen_keys), resolve_cap(cap))
+        self.order = len(self.keys)
         self.identity = 0
-        self.generators = tuple(map(self._index.__getitem__, gen_keys))
+        self.generators = tuple(map(self.key_index.__getitem__, gen_keys))
         self._conjugators: Optional[list[Callable[[bytes], bytes]]] = None
         self._p_elements: dict[int, list[int]] = {}
         # Sylow systems by p; find_sylow's subgroup by p, also when no
@@ -241,27 +256,17 @@ class FiniteGroup:
     # -- element access -------------------------------------------------
 
     def element(self, index: int):
-        return self.ops.wrap(self._keys[index])
+        return self.ops.wrap(self.keys[index])
 
     def index_of(self, element: object) -> int:
         key = self.ops.unwrap(element)
-        idx = self._index.get(key)
+        idx = self.key_index.get(key)
         if idx is None:
             raise DomainError(f"{element!r} is not a member of this group")
         return idx
 
-    @property
-    def keys(self) -> list[bytes]:
-        """Element keys by index; callers must not mutate the list."""
-        return self._keys
-
-    @property
-    def key_index(self) -> dict[bytes, int]:
-        """Element index by key; callers must not mutate the dict."""
-        return self._index
-
     def render(self, index: int) -> str:
-        return self.ops.render(self._keys[index])
+        return self.ops.render(self.keys[index])
 
     def describe(self) -> str:
         return self.name or self.ops.describe()
@@ -269,27 +274,27 @@ class FiniteGroup:
     # -- arithmetic on indices -------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
-        return self._index[self.ops.mul(self._keys[i], self._keys[j])]
+        return self.key_index[self.ops.mul(self.keys[i], self.keys[j])]
 
     def inv(self, i: int) -> int:
-        return self._index[self.ops.inv(self._keys[i])]
+        return self.key_index[self.ops.inv(self.keys[i])]
 
     def power(self, i: int, e: int) -> int:
-        key = self._keys[i]
+        key = self.keys[i]
         if e < 0:
             key = self.ops.inv(key)
             e = -e
-        return self._index[next(self.ops.powers((key,), e))]
+        return self.key_index[next(self.ops.powers((key,), e))]
 
     def conjugators(self) -> list[Callable[[bytes], bytes]]:
         """k -> g^-1 * k * g on keys, one per generator in generator order (built once)."""
         if self._conjugators is None:
-            self._conjugators = [self.ops.conjugator(self._keys[g]) for g in self.generators]
+            self._conjugators = [self.ops.conjugator(self.keys[g]) for g in self.generators]
         return self._conjugators
 
     def element_order(self, i: int) -> int:
         """Least k >= 1 with x^k = identity."""
-        return self.ops.key_order(self._keys[i])
+        return self.ops.key_order(self.keys[i])
 
     def _power_is_one(self, e: int) -> list[int]:
         """Indices of the x with x^e = identity, ascending: one scan of the table by ``ops.powers``.
@@ -298,8 +303,8 @@ class FiniteGroup:
         divides ``ops.exponent``, so the scan powers by their gcd: for
         permutations of degree n, by a divisor of lcm(1..n).
         """
-        one = self._keys[self.identity]
-        return list(compress(count(), map(one.__eq__, self.ops.powers(self._keys, math.gcd(e, self.ops.exponent)))))
+        one = self.keys[self.identity]
+        return list(compress(count(), map(one.__eq__, self.ops.powers(self.keys, math.gcd(e, self.ops.exponent)))))
 
     def p_elements(self, p: int) -> list[int]:
         """Indices of all elements of p-power order, identity included, ascending.
@@ -333,10 +338,7 @@ class FiniteGroup:
         if subgroup.group is not self:
             raise DomainError("subgroup belongs to a different group")
         subgroup.verify()
-        keys = self._keys
-        members = {keys[h] for h in subgroup.indices}
-        gens = [keys[h] for h in subgroup.generating_indices()]
-        return Subgroup(self, map(self._index.__getitem__, self.ops.normalizing_keys(members, gens, keys)))
+        return Subgroup.of_keys(self, self.ops.normalizing_keys(subgroup.keys, subgroup.generating_keys(), self.keys))
 
     def subgroup_closure(self, seed: Iterable[int]) -> Subgroup:
         """Smallest subgroup containing the seed indices."""
@@ -344,9 +346,8 @@ class FiniteGroup:
         if not seed:
             raise DomainError("seed must be nonempty")
         closure = KeyClosure(self)
-        keys = self._keys
         for s in seed:
-            closure.add(keys[s])
+            closure.add(self.keys[s])
         return closure.subgroup()
 
     def trivial_subgroup(self) -> Subgroup:
@@ -359,8 +360,7 @@ class FiniteGroup:
         membership test unless it becomes a generator.
         """
         closure = KeyClosure(self)
-        keys = self._keys
-        return tuple(idx for idx in sorted(set(indices)) if closure.add(keys[idx]))
+        return tuple(idx for idx in sorted(set(indices)) if closure.add(self.keys[idx]))
 
     def largest_normal_p_subgroup(self, p: int) -> Subgroup:
         """O_p(G): the intersection of all Sylow p-subgroups.
@@ -373,16 +373,14 @@ class FiniteGroup:
         """
         from .sylow import find_sylow  # local import; sylow builds on this module
 
-        keys = self._keys
         conj = self.conjugators()
-        core = {keys[x] for x in find_sylow(self, p).indices}
+        core = find_sylow(self, p).keys
         while True:
             kept = {k for k in core if all(c(k) in core for c in conj)}
             if len(kept) == len(core):
                 break
             core = kept
-        index = self._index
-        return Subgroup(self, [index[k] for k in core])
+        return Subgroup.of_keys(self, core)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.describe()}, order={self.order})"

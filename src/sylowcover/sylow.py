@@ -58,8 +58,7 @@ class SylowSystem:
         p_els = self.p_elements
         if len(p_els) % self.sylow.order:
             raise RuntimeError(f"{len(p_els)} p-elements is not a multiple of |P| = {self.sylow.order}")
-        keys = group.keys
-        members = {keys[x] for x in self.sylow.indices}
+        keys, members = group.keys, self.sylow.keys
         labelled: set[bytes] = set()
         classes = []
         for x in p_els:
@@ -83,20 +82,17 @@ class SylowSystem:
     def _orbit(self) -> tuple[list[Subgroup], dict[int, int]]:
         """The conjugates of P and each p-element's count; checks |orbit| = nu and the union."""
         group = self.group
-        # the orbit of P's key set under the class walk's conjugators; each
-        # Sylow is converted to its index set once
-        start = frozenset(map(group.keys.__getitem__, self.sylow.indices))
-        key_sets, _ = orbit(start, group.conjugators(), lambda members, c: frozenset(map(c, members)))
-        member_sets = [frozenset(map(group.key_index.__getitem__, members)) for members in key_sets]
-        if len(member_sets) != self.nu:
-            raise RuntimeError(
-                f"orbit of {len(member_sets)} Sylow subgroups disagrees with normalizer index {self.nu}"
-            )
-        # a plain dict, so a missing element still raises KeyError
-        multiplicity = dict(Counter(chain.from_iterable(member_sets)))
-        if set(multiplicity) != set(self.p_elements):
+        # the orbit of P's key set under the class walk's conjugators
+        key_sets, _ = orbit(self.sylow.keys, group.conjugators(), lambda members, c: frozenset(map(c, members)))
+        if len(key_sets) != self.nu:
+            raise RuntimeError(f"orbit of {len(key_sets)} Sylow subgroups disagrees with normalizer index {self.nu}")
+        # each p-element's count, by ascending index; a count of 0 is a
+        # p-element outside the union, a key left over one outside G_p
+        counts, keys = Counter(chain.from_iterable(key_sets)), group.keys
+        multiplicity = {x: counts.pop(keys[x], 0) for x in self.p_elements}
+        if counts or 0 in multiplicity.values():
             raise RuntimeError("union of Sylow subgroups does not equal the p-element set")
-        return [self.sylow] + [Subgroup(group, members) for members in member_sets[1:]], multiplicity
+        return [self.sylow] + [Subgroup.of_keys(group, members) for members in key_sets[1:]], multiplicity
 
     @property
     def sylows(self) -> list[Subgroup]:
@@ -108,7 +104,7 @@ class SylowSystem:
 
     def unique_witnesses(self) -> list[int]:
         """All p-elements lying in exactly one Sylow p-subgroup, ascending."""
-        return sorted(x for x, count in self.multiplicity.items() if count == 1)
+        return [x for x, count in self.multiplicity.items() if count == 1]
 
 
 @dataclass
@@ -202,8 +198,9 @@ def decide_redundant_bruteforce(group: FiniteGroup, p: int) -> DecisionReport:
 
 def _cover_masks(system: SylowSystem) -> tuple[list[int], int]:
     """Per-Sylow bitmasks over the p-element universe, plus the full mask."""
-    bit = {x: 1 << i for i, x in enumerate(system.p_elements)}
-    return [sum(map(bit.__getitem__, sub.indices)) for sub in system.sylows], (1 << len(bit)) - 1
+    keys = system.group.keys
+    bit = {keys[x]: 1 << i for i, x in enumerate(system.p_elements)}
+    return [sum(map(bit.__getitem__, sub.keys)) for sub in system.sylows], (1 << len(bit)) - 1
 
 
 def _greedy_cover(masks: list[int], full: int) -> list[int]:

@@ -334,6 +334,40 @@ def test_verify_sn_builds_one_normalizer_per_group(monkeypatch, capsys):
     assert calls == [math.factorial(n) for n in range(2, 9)]
 
 
+def test_verify_builds_each_group_once_for_every_p(monkeypatch, capsys):
+    # 5 field sizes and 4 primes: 5 groups, not 20; rows stay case-major, p-minor
+    built = []
+    build_family = cli.build_family
+
+    def counted(name, params, cap=None):
+        built.append(params["q"])
+        return build_family(name, params, cap=cap)
+
+    monkeypatch.setattr(cli, "build_family", counted)
+    code, out, _ = run(capsys, "verify", "--family", "GL", "--n", "2", "--q-list", "4,5,7,8,9",
+                       "--p-list", "2,3,5,7", "--format", "json")
+    assert code == EXIT_OK
+    assert built == [4, 5, 7, 8, 9]
+    assert [(row["q"], row["p"]) for row in json.loads(out)] == [(q, p) for q in (4, 5, 7, 8, 9) for p in (2, 3, 5, 7)]
+
+
+def test_verify_sweep_builds_once_per_degree_and_stops_past_the_cap(monkeypatch, capsys):
+    # A_3 .. A_7 fit under 3000 elements and are built once each; A_8 is the
+    # first past the cap, and the sweep stops there
+    built = []
+    build_family = cli.build_family
+
+    def counted(name, params, cap=None):
+        built.append(params["n"])
+        return build_family(name, params, cap=cap)
+
+    monkeypatch.setattr(cli, "build_family", counted)
+    code, out, err = run(capsys, "verify", "--family", "An", "--max-n", "40", "--p-list", "2,3",
+                         "--budget", "3000")
+    assert code == EXIT_BUDGET and out == "" and err.startswith("error: ")
+    assert built == [3, 4, 5, 6, 7, 8]
+
+
 def test_verify_sl2(capsys):
     code, out, _ = run(capsys, "verify", "--family", "SL2", "--q-list", "5,7,9",
                        "--p", "2", "--format", "json")

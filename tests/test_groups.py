@@ -199,6 +199,43 @@ def test_subgroup_lagrange_violation_rejected(s4):
         Subgroup(s4, range(5))  # 5 does not divide 24
 
 
+@pytest.mark.parametrize("indices", [[0, -1], [0, 24], [0, 1, 2, 25]])
+def test_subgroup_refuses_an_index_outside_the_table(s4, indices):
+    # list indexing would read -1 as the last element, and normalizer would answer for it
+    with pytest.raises(DomainError, match="range"):
+        Subgroup(s4, indices)
+
+
+def test_an_index_outside_the_table_is_no_member(s4):
+    sub = find_sylow(s4, 2)
+    assert [x in sub for x in (-1, 24, -24, 10**6)] == [False] * 4
+    assert 0 in sub and s4.order - 1 not in Subgroup(s4, [0])
+
+
+@pytest.mark.parametrize("name", ["s4", "g108"])
+def test_a_subgroup_from_indices_and_one_from_keys_agree(request, name):
+    group = request.getfixturevalue(name)
+    subs = [find_sylow(group, p) for p, _ in factorization(group.order)]
+    subs += [group.normalizer(sub) for sub in subs] + [group.trivial_subgroup()]
+    for sub in subs:
+        by_index = Subgroup(group, sub.indices)
+        by_key = Subgroup.of_keys(group, [group.keys[x] for x in sub.indices])
+        assert by_index == by_key and hash(by_index) == hash(by_key)
+        assert by_index.order == by_key.order == len(sub.indices)
+        assert by_index.indices == by_key.indices == sub.indices
+        assert by_index.member_set() == by_key.member_set() == frozenset(sub.indices)
+        for x in range(-1, group.order + 1):
+            assert (x in by_index) == (x in by_key) == (x in sub.member_set()), x
+
+
+def test_a_key_set_is_checked_like_an_index_set(s4):
+    keys = s4.keys
+    with pytest.raises(DomainError, match="identity"):
+        Subgroup.of_keys(s4, keys[1:4])
+    with pytest.raises(DomainError, match="does not divide"):
+        Subgroup.of_keys(s4, keys[:5])
+
+
 def test_subgroup_verify_rejects_non_closed_set(s4):
     from sylowcover.groups import KeyClosure, Subgroup
 

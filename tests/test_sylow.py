@@ -174,6 +174,35 @@ def test_both_views_catch_a_p_element_scan_that_misses_an_element():
         system.classes
 
 
+def test_orbit_covers_and_ti_sylow_read_the_indices_of_no_conjugate_but_p(monkeypatch):
+    # the conjugates of P stay key sets: only P's indices name witnesses
+    read = []
+    indices = Subgroup.indices
+
+    def counted(sub):
+        read.append(sub)
+        return indices.fget(sub)
+
+    group = load_fixture(FIXTURE_DIR / "g108.json")
+    monkeypatch.setattr(Subgroup, "indices", property(counted))
+    system = enumerate_sylows(group, 2)
+    assert len(system.sylows) == system.nu == 27
+    assert (minimal_cover(system, "greedy").size, minimal_cover(system, "exact").size) == (10, 9)
+    assert run_structural_criteria(group, 2)[1][-1].name == "ti-sylow"
+    assert read and all(sub is system.sylow for sub in read)
+
+
+def test_the_union_check_catches_a_p_element_swapped_for_another_element():
+    # as many elements as G_p, but one of them is a 3-cycle: only comparing
+    # the sets, not their sizes, sees it
+    s4 = symmetric_group(4)
+    find_sylow(s4, 2)
+    three_cycle = s4.index_of(Permutation.from_cycles(4, [(1, 2, 3)]))
+    s4._p_elements[2] = s4._p_elements[2][:-1] + [three_cycle]
+    with pytest.raises(RuntimeError, match="union of Sylow subgroups"):
+        enumerate_sylows(s4, 2).sylows
+
+
 def test_s5_and_a5_have_no_redundant_sylow_subgroup():
     from sylowcover import alternating_group, symmetric_group
 
